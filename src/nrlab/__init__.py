@@ -18,7 +18,6 @@ from .detector import (
     enumerate_ssb_bursts,
     estimate_occupancy,
     identify_ssb_index,
-    resolve_cell_id,
 )
 from .exposure import (
     ExposureReport,

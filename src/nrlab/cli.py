@@ -1,37 +1,33 @@
 """Command-line entry point: generate, detect, exposure, sound, otasim.
 
-Configuration comes from built-in defaults, overridden by a JSON config file
-(--config), overridden by explicit flags. Every report echoes the fully
-resolved configuration so a run can be replayed exactly.
+Each option is declared once, in the option tables below: its default is
+overridden by a JSON config file (--config), which is overridden by flags. Every
+report echoes the fully resolved configuration so a run can be replayed exactly.
 
-Exit codes: 0 success, 1 input/format error, 2 clean run with no findings.
+Exit codes: 0 success, 1 usage/input/format error, 2 clean run with no findings.
 """
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .detector import (
-    DEFAULT_PSS_THRESHOLD,
-    DetectionResult,
-    SsbBurst,
-    demodulate_burst,
-    enumerate_ssb_bursts,
-)
+from .detector import DEFAULT_PSS_THRESHOLD, demodulate_burst, enumerate_ssb_bursts
 from .exposure import SIGNAL_CLASSES, build_report, code_selective_power
 from .io import (
     read_capture,
+    read_detection_report,
     read_geometry,
-    read_report,
+    read_json_object,
     read_sweep_csv,
     write_aoa_csv,
     write_capture,
+    write_detection_report,
     write_pdp_csv,
     write_report,
 )
@@ -64,100 +60,131 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NO_FINDINGS = 2
 
-_OFDM_DEFAULTS = {"mu": 1, "fft_size": 256, "cp_len": 18}
 
-GENERATE_DEFAULTS = {
-    **_OFDM_DEFAULTS,
-    "cell": 0,
-    "n1": None,
-    "n2": None,
-    "i_ssb": 0,
-    "l_max": 8,
-    "bursts": 1,
-    "burst_period": 5480,
-    "re_power": 1.0,
-    "snr_db": None,
-    "lead_in": 1000,
-    "tail": 1000,
-    "seed": 0,
-    "out": None,
-}
+@dataclass(frozen=True)
+class Opt:
+    """One option: its config key, type, default and flag (``--`` plus the key
+    with ``-`` for ``_`` unless given; no dashes means positional). A bool
+    option is a switch that can only turn on."""
 
-DETECT_DEFAULTS = {
-    **_OFDM_DEFAULTS,
-    "input": None,
-    "threshold": DEFAULT_PSS_THRESHOLD,
-    "out": None,
-}
+    key: str
+    type: type = str
+    default: object = None
+    help: str | None = None
+    choices: tuple | None = None
+    flag: str | None = None
+    nargs: str | None = None
+    required: bool = False
 
-EXPOSURE_DEFAULTS = {
-    **_OFDM_DEFAULTS,
-    "capture": None,
-    "detection": None,
-    "rb_count": 100,
-    "duty": 1.0,
-    "mode": "conducted",
-    "coverage_k": 2.0,
-    "out": None,
-}
-
-SOUND_DEFAULTS = {
-    "input": None,
-    "window": "hann",
-    "pad": 4,
-    "aoa": False,
-    "deembed": False,
-    "geometry": None,
-    "angle_start": -90.0,
-    "angle_stop": 90.0,
-    "angle_step": 1.0,
-    "aoa_out": None,
-    "out": None,
-}
-
-OTASIM_DEFAULTS = {
-    "mode": None,
-    "ports": 4,
-    "snr_db": None,
-    "tau_rc": 2e-7,
-    "n_taps": 32,
-    "tap_spacing": 5e-8,
-    "keyhole": False,
-    "cancel_demo": False,
-    "epsilon": None,
-    "seed": 0,
-    "out": None,
-}
+    @property
+    def arg(self) -> str:
+        """The name argparse is given: the flag, or the positional's name."""
+        return self.flag or "--" + self.key.replace("_", "-")
 
 
-def _load_config_file(path, defaults: dict) -> dict:
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"config file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ValueError(f"config file {path} must hold a JSON object")
-    unknown = sorted(set(raw) - set(defaults))
-    if unknown:
-        raise ValueError(f"config file {path} has unknown keys: {', '.join(unknown)}")
-    return raw
+_OFDM = (
+    Opt("mu", int, 1, "numerology (SCS = 15*2^mu kHz)"),
+    Opt("fft_size", int, 256, "FFT size"),
+    Opt("cp_len", int, 18, "cyclic-prefix length in samples"),
+)
+_SEED = Opt("seed", int, 0, "random seed")
+
+GENERATE_OPTIONS = (
+    *_OFDM,
+    Opt("cell", int, 0, "cell identity 0..1007"),
+    Opt("n1", int, None, "SSS group index (with --n2)"),
+    Opt("n2", int, None, "PSS sector index (with --n1)"),
+    Opt("i_ssb", int, 0, "first SSB index"),
+    Opt("l_max", int, 8, "SSB indices per half frame", choices=(4, 8)),
+    Opt("bursts", int, 1, "number of SSB bursts"),
+    Opt("burst_period", int, 5480, "burst spacing in samples"),
+    Opt("re_power", float, 1.0, "linear power per occupied resource element"),
+    Opt("snr_db", float, None, "add white noise at this SNR relative to the SSB power"),
+    Opt("lead_in", int, 1000, "samples before the first burst"),
+    Opt("tail", int, 1000, "samples after the last burst"),
+    _SEED,
+    Opt("out", help="IQ capture path", required=True),
+)
+
+DETECT_OPTIONS = (
+    *_OFDM,
+    Opt("input", help="IQ capture file", flag="--in", required=True),
+    Opt("threshold", float, DEFAULT_PSS_THRESHOLD, "PSS detection threshold in (0,1)"),
+    Opt("out", help="report path (default <in>.detection.json)"),
+)
+
+EXPOSURE_OPTIONS = (
+    *_OFDM,
+    Opt("capture", help="IQ capture file", required=True),
+    Opt("detection", help="detection report from 'detect'", required=True),
+    Opt("rb_count", int, 100, "resource blocks for extrapolation"),
+    Opt("duty", float, 1.0, "duty factor in (0,1]"),
+    Opt("mode", str, "conducted", "uncertainty target to check", choices=("conducted", "ota")),
+    Opt("coverage_k", float, 2.0, "coverage factor of the expanded uncertainty"),
+    Opt("out", help="report path (default <capture>.exposure.json)"),
+)
+
+SOUND_OPTIONS = (
+    Opt("input", help="sweep CSV(s), one per element", flag="--in", nargs="+", required=True),
+    Opt("window", str, "hann", "window applied before the IFFT",
+        choices=("rectangular", "hann", "hamming")),
+    Opt("pad", int, 4, "zero-padding factor"),
+    Opt("aoa", bool, False, "also write the angle-delay map"),
+    Opt("deembed", bool, False, "de-embed the antenna pattern from the geometry file"),
+    Opt("geometry", help="geometry JSON (elements + optional pattern)"),
+    Opt("angle_start", float, -90.0, "first angle of the map, degrees"),
+    Opt("angle_stop", float, 90.0, "last angle of the map, degrees"),
+    Opt("angle_step", float, 1.0, "angle step of the map, degrees"),
+    Opt("aoa_out", help="angle-delay CSV path (default <first in>.aoa.csv)"),
+    Opt("out", help="PDP CSV path (default <first in>.pdp.csv)"),
+)
+
+OTASIM_OPTIONS = (
+    Opt("mode", help="what to simulate", choices=("wireless-cable", "rc"), flag="mode"),
+    Opt("ports", int, 4, "number of ports (wireless-cable)", choices=(2, 4, 8)),
+    Opt("snr_db", float, None, "RSRP sounding SNR (wireless-cable)"),
+    Opt("tau_rc", float, 2e-7, "decay constant, s"),
+    Opt("n_taps", int, 32, "number of delay taps"),
+    Opt("tap_spacing", float, 5e-8, "tap spacing, s"),
+    Opt("keyhole", bool, False, "double-Rayleigh keyhole fading"),
+    Opt("cancel_demo", bool, False, "include a decay-cancellation demonstration"),
+    Opt("epsilon", float, None, "deconvolution regularizer (default: swept)"),
+    _SEED,
+    Opt("out", help="report path", required=True),
+)
 
 
-def _effective_config(defaults: dict, args: argparse.Namespace) -> dict:
-    """Resolve defaults <- config file <- explicit flags (flags win)."""
-    effective = dict(defaults)
-    if getattr(args, "config", None):
-        effective.update(_load_config_file(args.config, defaults))
-    for key in defaults:
-        value = getattr(args, key, None)
-        if value is not None and value is not False:
-            effective[key] = value
-    return effective
+def _typed(opt: Opt, value, source):
+    """Check a config-file value against its option and convert it to the option's type."""
+    if value is None and opt.default is None and not opt.required:
+        return None
+    if opt.nargs:
+        items = value if isinstance(value, list) and value else [value]
+        return [_typed(replace(opt, nargs=None), item, source) for item in items]
+    if (type(value) is int and opt.type is float
+            or type(value) is float and opt.type is int and value.is_integer()):
+        value = opt.type(value)
+    expected = f"one of {list(opt.choices)}" if opt.choices else opt.type.__name__
+    if type(value) is not opt.type or opt.choices and value not in opt.choices:
+        raise ValueError(f"config file {source} key {opt.key!r} must be {expected}, got {value!r}")
+    return value
 
 
-def _require(cfg: dict, key: str, flag: str) -> None:
-    if cfg[key] is None:
-        raise ValueError(f"{flag} is required")
+def resolve_config(options: tuple[Opt, ...], args: argparse.Namespace) -> dict:
+    """Resolve defaults <- config file <- flags given on the command line (flags win)."""
+    cfg = {opt.key: opt.default for opt in options}
+    if args.config is not None:
+        raw = read_json_object(args.config, "config file")
+        by_key = {opt.key: opt for opt in options}
+        unknown = sorted(set(raw) - set(by_key))
+        if unknown:
+            raise ValueError(f"config file {args.config} has unknown keys: {', '.join(unknown)}")
+        cfg.update((key, _typed(by_key[key], value, args.config)) for key, value in raw.items())
+    cfg.update((opt.key, getattr(args, opt.key)) for opt in options if opt.key in args)
+    for opt in options:
+        if opt.required and cfg[opt.key] is None:
+            raise ValueError(f"{opt.arg} is required")
+    return cfg
 
 
 def _check_writable(path) -> None:
@@ -168,101 +195,53 @@ def _check_writable(path) -> None:
 
 
 def _ofdm_params(cfg: dict) -> OfdmParams:
-    return OfdmParams(
-        mu=int(cfg["mu"]), fft_size=int(cfg["fft_size"]), cp_len=int(cfg["cp_len"])
-    )
+    return OfdmParams(mu=cfg["mu"], fft_size=cfg["fft_size"], cp_len=cfg["cp_len"])
+
+
+def _read_capture_at(path, params: OfdmParams):
+    """Read a capture whose sidecar rate must match the numerology's rate."""
+    capture, _ = read_capture(path)
+    if abs(capture.sample_rate - params.sample_rate) > 1e-6 * params.sample_rate:
+        raise ValueError(
+            f"capture sample rate {capture.sample_rate:.6g} Hz differs from "
+            f"numerology rate {params.sample_rate:.6g} Hz"
+        )
+    return capture
 
 
 def _complex_matrix_payload(m: np.ndarray) -> list:
     return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(m)]
 
 
-def _detection_payload(result: DetectionResult, cfg: dict) -> dict:
-    cell = None
-    if result.cell_id is not None:
-        cell = {
-            "n1": result.cell_id.n1,
-            "n2": result.cell_id.n2,
-            "cell": result.cell_id.cell,
-        }
-    return {
-        "cell_id": cell,
-        "cfo_hz": result.cfo,
-        "cell_id_conflict": result.cell_id_conflict,
-        "bursts": [
-            {
-                "timing_sample": b.timing,
-                "i_ssb_bar": b.i_ssb_bar,
-                "metrics": {
-                    "pss": b.pss_metric,
-                    "sss": b.sss_metric,
-                    "dmrs": b.dmrs_metric,
-                },
-            }
-            for b in result.bursts
-        ],
-        "config": cfg,
-    }
-
-
-def _detection_from_payload(payload: dict) -> DetectionResult:
-    try:
-        cell = payload["cell_id"]
-        cell_id = None if cell is None else CellId(n1=cell["n1"], n2=cell["n2"])
-        bursts = [
-            SsbBurst(
-                timing=int(b["timing_sample"]),
-                i_ssb_bar=int(b["i_ssb_bar"]),
-                pss_metric=float(b["metrics"]["pss"]),
-                sss_metric=float(b["metrics"]["sss"]),
-                dmrs_metric=float(b["metrics"]["dmrs"]),
-            )
-            for b in payload["bursts"]
-        ]
-        return DetectionResult(
-            cell_id=cell_id,
-            bursts=bursts,
-            cfo=float(payload["cfo_hz"]),
-            cell_id_conflict=bool(payload.get("cell_id_conflict", False)),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"detection report is missing field: {exc}") from exc
-
-
-def cmd_generate(args: argparse.Namespace) -> int:
-    cfg = _effective_config(GENERATE_DEFAULTS, args)
-    _require(cfg, "out", "--out")
+def cmd_generate(cfg: dict) -> int:
     _check_writable(cfg["out"])
     if cfg["n1"] is not None or cfg["n2"] is not None:
         if cfg["n1"] is None or cfg["n2"] is None:
             raise ValueError("--n1 and --n2 must be given together")
-        cell_id = CellId(n1=int(cfg["n1"]), n2=int(cfg["n2"]))
-        cfg["cell"] = cell_id.cell
+        cell_id = CellId(n1=cfg["n1"], n2=cfg["n2"])
     else:
-        cell_id = CellId.from_cell(int(cfg["cell"]))
-    cfg["n1"], cfg["n2"] = cell_id.n1, cell_id.n2
+        cell_id = CellId.from_cell(cfg["cell"])
+    cfg.update(asdict(cell_id), cell=cell_id.cell)
 
     params = _ofdm_params(cfg)
     ssb_cfg = SsbConfig(
         cell_id=cell_id,
-        i_ssb_bar=int(cfg["i_ssb"]),
-        l_max=int(cfg["l_max"]),
-        burst_count=int(cfg["bursts"]),
-        burst_period=int(cfg["burst_period"]),
-        re_power=float(cfg["re_power"]),
+        i_ssb_bar=cfg["i_ssb"],
+        l_max=cfg["l_max"],
+        burst_count=cfg["bursts"],
+        burst_period=cfg["burst_period"],
+        re_power=cfg["re_power"],
     )
-    capture = synthesize_bursts(
-        ssb_cfg, params, lead_in=int(cfg["lead_in"]), tail=int(cfg["tail"])
-    )
+    capture = synthesize_bursts(ssb_cfg, params, lead_in=cfg["lead_in"], tail=cfg["tail"])
     if cfg["snr_db"] is not None:
         ssb_power = float(np.mean(np.abs(ssb_waveform(ssb_cfg, params)) ** 2))
-        noise_power = ssb_power * 10.0 ** (-float(cfg["snr_db"]) / 10.0)
-        capture = awgn(capture, noise_power, rng=int(cfg["seed"]))
+        noise_power = ssb_power * 10.0 ** (-cfg["snr_db"] / 10.0)
+        capture = awgn(capture, noise_power, rng=cfg["seed"])
     write_capture(
         cfg["out"],
         capture,
         created_by=f"nrlab {__version__} generate",
-        seed=int(cfg["seed"]),
+        seed=cfg["seed"],
         extra={"generator_config": cfg},
     )
     LOG.info("wrote %s (%d samples, cell %d, %d bursts)",
@@ -270,113 +249,80 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_detect(args: argparse.Namespace) -> int:
-    cfg = _effective_config(DETECT_DEFAULTS, args)
-    _require(cfg, "input", "--in")
-    capture, _ = read_capture(cfg["input"])
+def cmd_detect(cfg: dict) -> int:
     params = _ofdm_params(cfg)
-    if abs(capture.sample_rate - params.sample_rate) > 1e-6 * params.sample_rate:
-        LOG.warning(
-            "capture sample rate %.6g Hz differs from numerology rate %.6g Hz",
-            capture.sample_rate, params.sample_rate,
-        )
-    result = enumerate_ssb_bursts(capture, params, threshold=float(cfg["threshold"]))
-    out = cfg["out"] or str(cfg["input"]) + ".detection.json"
-    cfg["out"] = out
-    _check_writable(out)
-    write_report(out, _detection_payload(result, cfg))
+    capture = _read_capture_at(cfg["input"], params)
+    result = enumerate_ssb_bursts(capture, params, threshold=cfg["threshold"])
+    cfg["out"] = cfg["out"] or cfg["input"] + ".detection.json"
+    _check_writable(cfg["out"])
+    write_detection_report(cfg["out"], result, cfg)
     if not result.bursts:
-        LOG.info("no bursts found; report written to %s", out)
+        LOG.info("no bursts found; report written to %s", cfg["out"])
         return EXIT_NO_FINDINGS
     LOG.info(
         "found %d bursts, cell %s; report written to %s",
         len(result.bursts),
         "?" if result.cell_id is None else result.cell_id.cell,
-        out,
+        cfg["out"],
     )
     return EXIT_OK
 
 
-def cmd_exposure(args: argparse.Namespace) -> int:
-    cfg = _effective_config(EXPOSURE_DEFAULTS, args)
-    _require(cfg, "capture", "--capture")
-    _require(cfg, "detection", "--detection")
-    capture, _ = read_capture(cfg["capture"])
-    detection = _detection_from_payload(read_report(cfg["detection"]))
+def cmd_exposure(cfg: dict) -> int:
+    params = _ofdm_params(cfg)
+    capture = _read_capture_at(cfg["capture"], params)
+    detection = read_detection_report(cfg["detection"])
     if not detection.bursts:
         LOG.info("detection report holds no bursts; nothing to measure")
         return EXIT_NO_FINDINGS
-    params = _ofdm_params(cfg)
 
-    per_class = {name: [] for name in SIGNAL_CLASSES}
+    per_burst = []
     for index, burst in enumerate(detection.bursts):
         grid = demodulate_burst(capture, burst.timing, detection.cfo, params)
-        for name, value in code_selective_power(grid, detection, index).items():
-            per_class[name].append(value)
-    mean_powers = {name: float(np.mean(v)) for name, v in per_class.items()}
+        per_burst.append(code_selective_power(grid, detection, index))
+    mean_powers = {name: float(np.mean([p[name] for p in per_burst])) for name in SIGNAL_CLASSES}
 
     report = build_report(
         mean_powers,
-        n_re_total=int(cfg["rb_count"]) * 12,
-        duty=float(cfg["duty"]),
+        n_re_total=cfg["rb_count"] * 12,
+        duty=cfg["duty"],
         mode=cfg["mode"],
-        coverage_factor=float(cfg["coverage_k"]),
+        coverage_factor=cfg["coverage_k"],
     )
-    out = cfg["out"] or str(cfg["capture"]) + ".exposure.json"
-    cfg["out"] = out
-    _check_writable(out)
-    payload = {
-        "per_signal_re_power": report.per_signal_re_power,
-        "per_signal_re_power_db": {
-            k: 10.0 * np.log10(v) if v > 0 else -np.inf
-            for k, v in report.per_signal_re_power.items()
-        },
-        "extrapolated_power": report.extrapolated_power,
-        "extrapolated_power_db": report.extrapolated_power_db,
-        "n_re_total": report.n_re_total,
-        "duty": report.duty,
-        "uncertainty": {
-            "components": [
-                {"name": n, "std_db": u, "distribution": d, "placeholder": True}
-                for n, u, d in report.uncertainty.components
-            ],
-            "coverage_factor": report.uncertainty.coverage_factor,
-            "expanded_db": report.uncertainty.expanded_db,
-        },
-        "target_check": {
-            "mode": report.target_check.mode,
-            "passed": report.target_check.passed,
-            "target_db": report.target_check.target_db,
-            "margin_db": report.target_check.margin_db,
-        },
-        "config": cfg,
+    cfg["out"] = cfg["out"] or cfg["capture"] + ".exposure.json"
+    _check_writable(cfg["out"])
+    payload = asdict(report)
+    payload["uncertainty"]["components"] = [
+        {"name": n, "std_db": u, "distribution": d, "placeholder": True}
+        for n, u, d in report.uncertainty.components
+    ]
+    payload["per_signal_re_power_db"] = {
+        k: 10.0 * np.log10(v) if v > 0 else -np.inf
+        for k, v in report.per_signal_re_power.items()
     }
-    write_report(out, payload)
-    LOG.info("exposure report written to %s", out)
+    payload["config"] = cfg
+    write_report(cfg["out"], payload)
+    LOG.info("exposure report written to %s", cfg["out"])
     return EXIT_OK
 
 
-def cmd_sound(args: argparse.Namespace) -> int:
-    cfg = _effective_config(SOUND_DEFAULTS, args)
-    _require(cfg, "input", "--in")
-    inputs = cfg["input"] if isinstance(cfg["input"], list) else [cfg["input"]]
-    cfg["input"] = list(map(str, inputs))
+def cmd_sound(cfg: dict) -> int:
     sweeps = []
-    for path in inputs:
+    for path in cfg["input"]:
         sweep = read_sweep_csv(path)
         if sweep.pilot is not None:
             sweep = compensate_phase(sweep)
         sweeps.append(sweep)
 
-    out = cfg["out"] or str(inputs[0]) + ".pdp.csv"
-    cfg["out"] = out
-    _check_writable(out)
-    pdp = cir_to_pdp(sweep_to_cir(sweeps[0], window=cfg["window"], pad_factor=int(cfg["pad"])))
-    write_pdp_csv(out, pdp)
-    LOG.info("PDP written to %s (noise floor %.2f dB)", out, pdp.noise_floor_db)
+    cfg["out"] = cfg["out"] or cfg["input"][0] + ".pdp.csv"
+    _check_writable(cfg["out"])
+    pdp = cir_to_pdp(sweep_to_cir(sweeps[0], window=cfg["window"], pad_factor=cfg["pad"]))
+    write_pdp_csv(cfg["out"], pdp)
+    LOG.info("PDP written to %s (noise floor %.2f dB)", cfg["out"], pdp.noise_floor_db)
 
     if cfg["aoa"]:
-        _require(cfg, "geometry", "--geometry")
+        if cfg["geometry"] is None:
+            raise ValueError("--geometry is required with --aoa")
         elements, pattern = read_geometry(cfg["geometry"])
         if len(sweeps) != elements.shape[0]:
             raise ValueError(
@@ -386,19 +332,13 @@ def cmd_sound(args: argparse.Namespace) -> int:
         scan = VirtualArrayScan(elements, sweeps, pattern=pattern)
         if cfg["deembed"]:
             scan = deembed_pattern(scan)
-        angles = np.arange(
-            float(cfg["angle_start"]),
-            float(cfg["angle_stop"]) + float(cfg["angle_step"]) / 2.0,
-            float(cfg["angle_step"]),
-        )
-        profile = aoa_delay_profile(
-            scan, angles, window=cfg["window"], pad_factor=int(cfg["pad"])
-        )
-        aoa_out = cfg["aoa_out"] or str(inputs[0]) + ".aoa.csv"
-        cfg["aoa_out"] = aoa_out
-        _check_writable(aoa_out)
-        write_aoa_csv(aoa_out, profile)
-        LOG.info("AoA-delay map written to %s", aoa_out)
+        step = cfg["angle_step"]
+        angles = np.arange(cfg["angle_start"], cfg["angle_stop"] + step / 2.0, step)
+        profile = aoa_delay_profile(scan, angles, window=cfg["window"], pad_factor=cfg["pad"])
+        cfg["aoa_out"] = cfg["aoa_out"] or cfg["input"][0] + ".aoa.csv"
+        _check_writable(cfg["aoa_out"])
+        write_aoa_csv(cfg["aoa_out"], profile)
+        LOG.info("AoA-delay map written to %s", cfg["aoa_out"])
     return EXIT_OK
 
 
@@ -408,10 +348,7 @@ def _single_tap_smeared(n_bins: int, decay_bins: float, tap_bin: int) -> tuple[C
     kernel = np.exp(-k / (2.0 * decay_bins)).astype(np.complex128)
     measured = np.roll(kernel, tap_bin)
     meta = {"delay_resolution": 1.0, "max_delay": float(n_bins)}
-    return (
-        Cir(taps=measured, **meta),
-        Cir(taps=kernel, **meta),
-    )
+    return Cir(taps=measured, **meta), Cir(taps=kernel, **meta)
 
 
 def _out_of_bin_db(taps: np.ndarray, tap_bin: int) -> float:
@@ -423,18 +360,12 @@ def _out_of_bin_db(taps: np.ndarray, tap_bin: int) -> float:
     return float(10.0 * np.log10(rest / peak))
 
 
-def cmd_otasim(args: argparse.Namespace) -> int:
-    cfg = _effective_config(OTASIM_DEFAULTS, args)
-    cfg["mode"] = args.mode
-    _require(cfg, "out", "--out")
+def cmd_otasim(cfg: dict) -> int:
     _check_writable(cfg["out"])
-    if args.mode == "wireless-cable":
-        rng = np.random.default_rng(int(cfg["seed"]))
-        truth = random_well_conditioned(int(cfg["ports"]), rng)
-        sounder = make_rsrp_sounder(
-            truth, noise_db=None if cfg["snr_db"] is None else float(cfg["snr_db"]),
-            rng=rng,
-        )
+    if cfg["mode"] == "wireless-cable":
+        rng = np.random.default_rng(cfg["seed"])
+        truth = random_well_conditioned(cfg["ports"], rng)
+        sounder = make_rsrp_sounder(truth, noise_db=cfg["snr_db"], rng=rng)
         estimate = estimate_transfer_matrix(sounder, truth.n_ports)
         calibration = compute_calibration(estimate)
         isolation = isolation_db(truth.a @ calibration)
@@ -444,65 +375,50 @@ def cmd_otasim(args: argparse.Namespace) -> int:
             "calibration_matrix": _complex_matrix_payload(calibration),
             "estimated_condition_number": estimate.condition_number,
             "isolation_db": isolation,
-            "config": cfg,
         }
-        write_report(cfg["out"], payload)
         LOG.info("wireless-cable isolation: %.2f dB", isolation)
-        return EXIT_OK
-
-    model = RcChannelModel(
-        tau_rc=float(cfg["tau_rc"]),
-        n_taps=int(cfg["n_taps"]),
-        tap_spacing=float(cfg["tap_spacing"]),
-        keyhole=bool(cfg["keyhole"]),
-        seed=int(cfg["seed"]),
-    )
-    realization = simulate_rc_channel(model)
-    payload = {
-        "delays_s": [float(d) for d in realization.delays],
-        "gains": [[float(g.real), float(g.imag)] for g in realization.gains],
-        "config": cfg,
-    }
-    if cfg["cancel_demo"]:
-        tap_bin = 40
-        measured, reference = _single_tap_smeared(256, decay_bins=10.0, tap_bin=tap_bin)
-        before = _out_of_bin_db(measured.taps, tap_bin)
-        if cfg["epsilon"] is not None:
-            best_eps = float(cfg["epsilon"])
-            corrected = cancel_rc_decay(measured, reference, best_eps)
-        else:
-            # pick epsilon by sweeping decades for the cleanest single tap
-            best_eps, corrected = None, None
-            for eps in (10.0 ** -e for e in range(1, 9)):
-                candidate = cancel_rc_decay(measured, reference, eps)
-                if corrected is None or (
-                    _out_of_bin_db(candidate.taps, tap_bin)
-                    < _out_of_bin_db(corrected.taps, tap_bin)
-                ):
-                    best_eps, corrected = eps, candidate
-        payload["cancellation"] = {
-            "epsilon": best_eps,
-            "tap_bin": tap_bin,
-            "out_of_bin_before_db": before,
-            "out_of_bin_after_db": _out_of_bin_db(corrected.taps, tap_bin),
-            "flags": list(corrected.flags),
+    else:
+        model = RcChannelModel(
+            tau_rc=cfg["tau_rc"],
+            n_taps=cfg["n_taps"],
+            tap_spacing=cfg["tap_spacing"],
+            keyhole=cfg["keyhole"],
+            seed=cfg["seed"],
+        )
+        realization = simulate_rc_channel(model)
+        payload = {
+            "delays_s": [float(d) for d in realization.delays],
+            "gains": [[float(g.real), float(g.imag)] for g in realization.gains],
         }
+        if cfg["cancel_demo"]:
+            tap_bin = 40
+            measured, reference = _single_tap_smeared(256, decay_bins=10.0, tap_bin=tap_bin)
+            # without a given epsilon, sweep decades for the cleanest single tap
+            epsilons = ([10.0 ** -e for e in range(1, 9)] if cfg["epsilon"] is None
+                        else [cfg["epsilon"]])
+            corrected = [cancel_rc_decay(measured, reference, eps) for eps in epsilons]
+            after_db = [_out_of_bin_db(c.taps, tap_bin) for c in corrected]
+            best = int(np.argmin(after_db))
+            payload["cancellation"] = {
+                "epsilon": epsilons[best],
+                "tap_bin": tap_bin,
+                "out_of_bin_before_db": _out_of_bin_db(measured.taps, tap_bin),
+                "out_of_bin_after_db": after_db[best],
+                "flags": list(corrected[best].flags),
+            }
+    payload["config"] = cfg
     write_report(cfg["out"], payload)
-    LOG.info("rc report written to %s", cfg["out"])
+    LOG.info("%s report written to %s", cfg["mode"], cfg["out"])
     return EXIT_OK
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON config file; flags override it")
-    parser.add_argument("--seed", type=int, help="random seed")
-    parser.add_argument("--out", help="output path")
-    parser.add_argument("--verbose", action="store_true", help="debug logging")
-
-
-def _add_ofdm(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--mu", type=int, help="numerology (SCS = 15*2^mu kHz)")
-    parser.add_argument("--fft-size", type=int, dest="fft_size")
-    parser.add_argument("--cp-len", type=int, dest="cp_len")
+_COMMANDS = (
+    ("generate", "synthesize an SSB burst capture", cmd_generate, GENERATE_OPTIONS),
+    ("detect", "blind-detect SSB bursts in a capture", cmd_detect, DETECT_OPTIONS),
+    ("exposure", "code-selective power and extrapolation", cmd_exposure, EXPOSURE_OPTIONS),
+    ("sound", "sweep CSV to PDP / AoA-delay CSV", cmd_sound, SOUND_OPTIONS),
+    ("otasim", "wireless-cable calibration / RC fading", cmd_otasim, OTASIM_OPTIONS),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -513,87 +429,37 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"nrlab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("generate", help="synthesize an SSB burst capture")
-    _add_common(p)
-    _add_ofdm(p)
-    p.add_argument("--cell", type=int, help="cell identity 0..1007")
-    p.add_argument("--n1", type=int, help="SSS group index (with --n2)")
-    p.add_argument("--n2", type=int, help="PSS sector index (with --n1)")
-    p.add_argument("--i-ssb", type=int, dest="i_ssb", help="first SSB index")
-    p.add_argument("--l-max", type=int, dest="l_max", choices=(4, 8))
-    p.add_argument("--bursts", type=int, help="number of SSB bursts")
-    p.add_argument("--burst-period", type=int, dest="burst_period",
-                   help="burst spacing in samples")
-    p.add_argument("--re-power", type=float, dest="re_power",
-                   help="linear power per occupied resource element")
-    p.add_argument("--snr-db", type=float, dest="snr_db",
-                   help="add white noise at this SNR relative to the SSB power")
-    p.add_argument("--lead-in", type=int, dest="lead_in")
-    p.add_argument("--tail", type=int)
-    p.set_defaults(func=cmd_generate)
-
-    p = sub.add_parser("detect", help="blind-detect SSB bursts in a capture")
-    _add_common(p)
-    _add_ofdm(p)
-    p.add_argument("--in", dest="input", help="IQ capture file")
-    p.add_argument("--threshold", type=float, help="PSS detection threshold in (0,1)")
-    p.set_defaults(func=cmd_detect)
-
-    p = sub.add_parser("exposure", help="code-selective power and extrapolation")
-    _add_common(p)
-    _add_ofdm(p)
-    p.add_argument("--capture", help="IQ capture file")
-    p.add_argument("--detection", help="detection report from 'detect'")
-    p.add_argument("--rb-count", type=int, dest="rb_count",
-                   help="resource blocks for extrapolation")
-    p.add_argument("--duty", type=float, help="duty factor in (0,1]")
-    p.add_argument("--mode", choices=("conducted", "ota"),
-                   help="uncertainty target to check")
-    p.add_argument("--coverage-k", type=float, dest="coverage_k")
-    p.set_defaults(func=cmd_exposure)
-
-    p = sub.add_parser("sound", help="sweep CSV to PDP / AoA-delay CSV")
-    _add_common(p)
-    p.add_argument("--in", dest="input", nargs="+", help="sweep CSV(s), one per element")
-    p.add_argument("--window", choices=("rectangular", "hann", "hamming"))
-    p.add_argument("--pad", type=int, help="zero-padding factor")
-    p.add_argument("--aoa", action="store_true", help="also write the angle-delay map")
-    p.add_argument("--deembed", action="store_true",
-                   help="de-embed the antenna pattern from the geometry file")
-    p.add_argument("--geometry", help="geometry JSON (elements + optional pattern)")
-    p.add_argument("--angle-start", type=float, dest="angle_start")
-    p.add_argument("--angle-stop", type=float, dest="angle_stop")
-    p.add_argument("--angle-step", type=float, dest="angle_step")
-    p.add_argument("--aoa-out", dest="aoa_out", help="angle-delay CSV path")
-    p.set_defaults(func=cmd_sound)
-
-    p = sub.add_parser("otasim", help="wireless-cable calibration / RC fading")
-    _add_common(p)
-    p.add_argument("mode", choices=("wireless-cable", "rc"))
-    p.add_argument("--ports", type=int, choices=(2, 4, 8))
-    p.add_argument("--snr-db", type=float, dest="snr_db",
-                   help="RSRP sounding SNR (wireless-cable)")
-    p.add_argument("--tau-rc", type=float, dest="tau_rc", help="decay constant, s")
-    p.add_argument("--n-taps", type=int, dest="n_taps")
-    p.add_argument("--tap-spacing", type=float, dest="tap_spacing", help="seconds")
-    p.add_argument("--keyhole", action="store_true")
-    p.add_argument("--cancel-demo", action="store_true", dest="cancel_demo",
-                   help="include a decay-cancellation demonstration")
-    p.add_argument("--epsilon", type=float, help="deconvolution regularizer")
-    p.set_defaults(func=cmd_otasim)
+    for name, help_text, handler, options in _COMMANDS:
+        # only flags given on the command line land in the namespace
+        p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
+        p.add_argument("--config", default=None, help="JSON config file; flags override it")
+        p.add_argument("--verbose", action="store_true", default=False, help="debug logging")
+        for opt in options:
+            kwargs = {"help": opt.help}
+            if opt.type is bool:
+                kwargs["action"] = "store_true"
+            else:
+                kwargs.update(type=opt.type, choices=opt.choices, nargs=opt.nargs)
+            if opt.arg.startswith("-"):
+                kwargs["dest"] = opt.key
+            p.add_argument(opt.arg, **kwargs)
+        p.set_defaults(handler=handler, options=options)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, which would read as "no findings"
+        return EXIT_ERROR if exc.code else EXIT_OK
     logging.basicConfig(
-        level=logging.DEBUG if getattr(args, "verbose", False) else logging.INFO,
+        level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(message)s",
         stream=sys.stderr,
     )
     try:
-        return args.func(args)
+        return args.handler(resolve_config(args.options, args))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -216,11 +216,6 @@ def detect_sss(
     return n1, metric
 
 
-def resolve_cell_id(n1: int, n2: int) -> CellId:
-    """Combine the SSS group and PSS sector indices into a cell identity."""
-    return CellId(n1=n1, n2=n2)
-
-
 def identify_ssb_index(grid: ResourceGrid, cell_id: CellId) -> tuple[int, float]:
     """Pick the SSB index whose DM-RS best matches the demodulated grid.
 
@@ -278,7 +273,7 @@ def enumerate_ssb_bursts(
         votes[(n1, cand.n2)] += 1
         staged.append((cand, n1, sss_metric))
     (n1, n2), _ = min(votes.items(), key=lambda kv: (-kv[1], 3 * kv[0][0] + kv[0][1]))
-    cell_id = resolve_cell_id(n1, n2)
+    cell_id = CellId(n1=n1, n2=n2)
 
     bursts = []
     for cand, _, sss_metric in staged:

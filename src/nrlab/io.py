@@ -10,12 +10,14 @@ from __future__ import annotations
 import csv
 import json
 import math
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
+from .detector import DetectionResult, SsbBurst
 from .sounding import AntennaPattern, AoaDelayProfile, FrequencySweep, Pdp
-from .types import IqCapture
+from .types import CellId, IqCapture
 
 SIDECAR_SUFFIX = ".json"
 _SIDECAR_NUMBERS = ("sample_rate_hz", "center_freq_hz", "scale")
@@ -74,13 +76,7 @@ def read_sidecar(path) -> dict:
     sc_path = sidecar_path(path)
     if not sc_path.exists():
         raise ValueError(f"sidecar not found: {sc_path}")
-    try:
-        raw = json.loads(sc_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"sidecar {sc_path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ValueError(f"sidecar {sc_path} must hold a JSON object")
-    return _validate_sidecar(raw)
+    return _validate_sidecar(read_json_object(sc_path, "sidecar"))
 
 
 def read_capture(path) -> tuple[IqCapture, dict]:
@@ -198,11 +194,8 @@ def read_geometry(path) -> tuple[np.ndarray, AntennaPattern | None]:
     The file is a JSON object with "elements" ([x, y, z] triples in meters)
     and optionally "pattern" (rows of [angle_deg, gain_db, phase_deg]).
     """
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"geometry file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict) or "elements" not in raw:
+    raw = read_json_object(path, "geometry file")
+    if "elements" not in raw:
         raise ValueError(f"geometry file {path} must hold an object with 'elements'")
     elements = np.asarray(raw["elements"], dtype=np.float64)
     if elements.ndim != 2 or elements.shape[1] != 3:
@@ -230,28 +223,88 @@ def write_geometry(path, elements: np.ndarray, pattern: AntennaPattern | None = 
 
 
 def write_report(path, payload: dict) -> None:
-    """Write a structured report; dB-suffixed values are rounded to 2 decimals."""
+    """Write a strict-JSON report: dB-suffixed values are rounded to 2 decimals
+    and non-finite floats are written as null."""
     Path(path).write_text(
-        json.dumps(_round_db(payload), indent=2, sort_keys=True) + "\n",
+        json.dumps(_report_value(payload), indent=2, sort_keys=True, allow_nan=False) + "\n",
         encoding="utf-8",
     )
 
 
-def read_report(path) -> dict:
+def read_json_object(path, what: str) -> dict:
+    """Load a JSON file that must hold an object; `what` names the file in errors."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
-        raise ValueError(f"report {path} is not valid JSON: {exc}") from exc
+        raise ValueError(f"{what} {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
-        raise ValueError(f"report {path} must hold a JSON object")
+        raise ValueError(f"{what} {path} must hold a JSON object")
     return raw
 
 
-def _round_db(value, is_db: bool = False):
+def read_report(path) -> dict:
+    return read_json_object(path, "report")
+
+
+def write_detection_report(path, result: DetectionResult, config: dict) -> None:
+    """Write a detection result and the configuration that produced it."""
+    cell = None
+    if result.cell_id is not None:
+        cell = {**asdict(result.cell_id), "cell": result.cell_id.cell}
+    payload = {
+        "cell_id": cell,
+        "cfo_hz": result.cfo,
+        "cell_id_conflict": result.cell_id_conflict,
+        "bursts": [
+            {
+                "timing_sample": b.timing,
+                "i_ssb_bar": b.i_ssb_bar,
+                "metrics": {
+                    "pss": b.pss_metric,
+                    "sss": b.sss_metric,
+                    "dmrs": b.dmrs_metric,
+                },
+            }
+            for b in result.bursts
+        ],
+        "config": config,
+    }
+    write_report(path, payload)
+
+
+def read_detection_report(path) -> DetectionResult:
+    """Parse a report written by `write_detection_report`."""
+    payload = read_report(path)
+    try:
+        cell = payload["cell_id"]
+        cell_id = None if cell is None else CellId(n1=cell["n1"], n2=cell["n2"])
+        bursts = [
+            SsbBurst(
+                timing=int(b["timing_sample"]),
+                i_ssb_bar=int(b["i_ssb_bar"]),
+                pss_metric=float(b["metrics"]["pss"]),
+                sss_metric=float(b["metrics"]["sss"]),
+                dmrs_metric=float(b["metrics"]["dmrs"]),
+            )
+            for b in payload["bursts"]
+        ]
+        return DetectionResult(
+            cell_id=cell_id,
+            bursts=bursts,
+            cfo=float(payload["cfo_hz"]),
+            cell_id_conflict=bool(payload.get("cell_id_conflict", False)),
+        )
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"detection report {path} is missing field: {exc}") from exc
+
+
+def _report_value(value, is_db: bool = False):
     if isinstance(value, dict):
-        return {k: _round_db(v, is_db or k.endswith("_db")) for k, v in value.items()}
+        return {k: _report_value(v, is_db or k.endswith("_db")) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_round_db(v, is_db) for v in value]
-    if isinstance(value, float) and is_db:
-        return round(value, 2) if math.isfinite(value) else value
+        return [_report_value(v, is_db) for v in value]
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            return None
+        return round(value, 2) if is_db else value
     return value

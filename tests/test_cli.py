@@ -82,6 +82,17 @@ class TestDetect:
     def test_missing_input_flag(self):
         assert run("detect") == EXIT_ERROR
 
+    def test_sample_rate_mismatch_exit_1(self, tmp_path, cell3_capture, capsys):
+        det = tmp_path / "det.json"
+        assert run("detect", "--in", cell3_capture, "--out", det) == EXIT_OK
+        assert run("detect", "--in", cell3_capture, "--fft-size", 512) == EXIT_ERROR
+        assert run(
+            "exposure", "--capture", cell3_capture, "--detection", det, "--fft-size", 512,
+        ) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.count("7.68e+06 Hz") == 2
+        assert err.count("1.536e+07 Hz") == 2
+
 
 class TestExposure:
     def test_report_values(self, tmp_path, cell3_capture):
@@ -197,6 +208,14 @@ class TestSound:
         best_angle = angles[int(np.nanargmax(np.nanmax(matrix, axis=1)))]
         assert best_angle == 0.0
 
+    def test_inputs_from_config_file(self, tmp_path):
+        sweep_path = tmp_path / "sweep.csv"
+        self.make_two_path_sweep(sweep_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"input": str(sweep_path), "pad": 2.0}))
+        assert run("sound", "--config", cfg) == EXIT_OK
+        assert (tmp_path / "sweep.csv.pdp.csv").exists()
+
     def test_wrong_element_count(self, tmp_path):
         sweep_path = tmp_path / "sweep.csv"
         self.make_two_path_sweep(sweep_path)
@@ -232,6 +251,16 @@ class TestOtasim:
         assert demo["out_of_bin_before_db"] > -5.0
         assert demo["out_of_bin_after_db"] <= -20.0
 
+    def test_non_finite_value_written_as_null(self, tmp_path):
+        out = tmp_path / "rc.json"
+        assert run("otasim", "rc", "--cancel-demo", "--epsilon", 1e-12, "--out", out) == EXIT_OK
+
+        def reject(constant):
+            raise ValueError(f"report holds non-standard JSON constant {constant}")
+
+        report = json.loads(out.read_text(), parse_constant=reject)
+        assert report["cancellation"]["out_of_bin_after_db"] is None
+
 
 class TestConfigangling:
     def test_config_file_with_flag_override(self, tmp_path):
@@ -243,6 +272,26 @@ class TestConfigangling:
         assert sidecar["generator_config"]["cell"] == 8  # flag wins
         assert sidecar["generator_config"]["bursts"] == 2  # config wins over default
         assert sidecar["seed"] == 9
+
+    @pytest.mark.parametrize("config", [
+        {"bursts": True}, {"cell": 3.9}, {"l_max": 6}, {"seed": None}, {"out": 5},
+    ])
+    def test_mistyped_config_values_rejected(self, tmp_path, capsys, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "x.iq"
+        assert run("generate", "--config", cfg, "--out", out) == EXIT_ERROR
+        assert not out.exists()
+        assert repr(next(iter(config))) in capsys.readouterr().err
+
+    def test_config_values_echoed_as_run(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"cell": 3.0, "re_power": 2, "bursts": 2}))
+        out = tmp_path / "cap.iq"
+        assert run("generate", "--config", cfg, "--out", out) == EXIT_OK
+        echoed = read_sidecar(out)["generator_config"]
+        assert echoed["cell"] == 3 and type(echoed["cell"]) is int
+        assert echoed["re_power"] == 2.0 and type(echoed["re_power"]) is float
 
     def test_unknown_config_keys_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -256,3 +305,22 @@ class TestConfigangling:
         assert config["threshold"] == 0.4
         assert config["fft_size"] == 256  # defaults resolved into the echo
         assert config["mu"] == 1
+
+
+class TestUsage:
+    @pytest.mark.parametrize("argv", [
+        ("detect", "--threshold", "abc"),
+        ("detect", "--no-such-flag"),
+        ("otasim", "--out", "x.json"),
+        (),
+    ])
+    def test_usage_errors_exit_1(self, argv):
+        assert run(*argv) == EXIT_ERROR
+
+    @pytest.mark.parametrize("argv", [("--help",), ("--version",), ("detect", "--help")])
+    def test_help_and_version_exit_0(self, argv):
+        assert run(*argv) == EXIT_OK
+
+    def test_detect_rejects_seed(self, tmp_path, cell3_capture):
+        assert run("detect", "--in", cell3_capture, "--seed", 1) == EXIT_ERROR
+        assert not (tmp_path / "cell3.iq.detection.json").exists()

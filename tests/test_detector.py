@@ -13,7 +13,6 @@ from nrlab import (
     estimate_occupancy,
     identify_ssb_index,
     map_ssb,
-    resolve_cell_id,
     synthesize_bursts,
 )
 from nrlab.detector import DEFAULT_PSS_THRESHOLD
@@ -120,13 +119,13 @@ class TestDetectSss:
 class TestResolveCellId:
     @pytest.mark.parametrize("n1,n2,cell", [(1, 0, 3), (0, 0, 0), (335, 2, 1007)])
     def test_examples(self, n1, n2, cell):
-        cid = resolve_cell_id(n1, n2)
+        cid = CellId(n1=n1, n2=n2)
         assert (cid.n1, cid.n2, cid.cell) == (n1, n2, cell)
 
     @pytest.mark.parametrize("n1,n2", [(-1, 0), (336, 0), (0, 3)])
     def test_range_check(self, n1, n2):
         with pytest.raises(ValueError):
-            resolve_cell_id(n1, n2)
+            CellId(n1=n1, n2=n2)
 
 
 class TestIdentifySsbIndex:

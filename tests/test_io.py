@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from nrlab import FrequencySweep, IqCapture
+from nrlab import CellId, DetectionResult, FrequencySweep, IqCapture, SsbBurst
 from nrlab.io import (
     read_capture,
+    read_detection_report,
     read_geometry,
     read_report,
     read_sidecar,
     read_sweep_csv,
     sidecar_path,
     write_capture,
+    write_detection_report,
     write_geometry,
     write_report,
     write_sweep_csv,
@@ -182,6 +184,34 @@ class TestReports:
         assert raw["items"][0]["level_db"] == 0.33
         # values nested under a *_db container are dB values too
         assert raw["per_class_db"] == {"sss": 0.0, "pss": 1.23}
+
+    def test_non_finite_floats_written_as_null(self, tmp_path):
+        path = tmp_path / "report.json"
+        write_report(path, {"power_db": -np.inf, "ratio": float("nan"), "items": [np.inf, 1.5]})
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        raw = json.loads(path.read_text(), parse_constant=reject)
+        assert raw == {"power_db": None, "ratio": None, "items": [None, 1.5]}
+
+    def test_detection_report_round_trip(self, tmp_path):
+        path = tmp_path / "det.json"
+        result = DetectionResult(
+            cell_id=CellId(n1=1, n2=0),
+            bursts=[SsbBurst(timing=1000, i_ssb_bar=2, pss_metric=0.9, sss_metric=0.8,
+                             dmrs_metric=0.7)],
+            cfo=12.5,
+        )
+        write_detection_report(path, result, {"threshold": 0.35})
+        assert read_detection_report(path) == result
+        raw = json.loads(path.read_text())
+        assert raw["cell_id"] == {"n1": 1, "n2": 0, "cell": 3}
+        assert raw["config"] == {"threshold": 0.35}
+        del raw["bursts"][0]["metrics"]["sss"]
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ValueError, match="missing field"):
+            read_detection_report(path)
 
     def test_read_rejects_non_object(self, tmp_path):
         path = tmp_path / "report.json"
