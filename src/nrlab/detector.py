@@ -1,9 +1,13 @@
 """Blind SSB detection: PSS search, SSS/cell-id resolution, DM-RS index, bursts.
 
-The detection chain is replica correlation in the time domain for the PSS
-(over an integer-bin CFO hypothesis bank, with a fractional refinement from
-the phase slope between the two halves of the matched symbol), followed by
-frequency-domain matched correlation for the SSS and DM-RS stages.
+The PSS search is a normalized replica correlation computed by overlap-save:
+the capture is cut into overlapping blocks whose length is a multiple of the
+FFT size and transformed once. Each sector's replica has one block spectrum,
+and an integer-bin CFO hypothesis is that spectrum rolled by whole bins, so a
+(sector, CFO bin) hypothesis costs one inverse transform. The winning bin is
+refined by the phase slope between the two halves of the matched symbol.
+Each burst is then demodulated once, and its grid feeds the frequency-domain
+matched correlations of the SSS and DM-RS stages.
 """
 from __future__ import annotations
 
@@ -12,7 +16,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy import signal as sp_signal
 
 from .sequences import gen_pbch_dmrs, gen_pss, gen_sss
 from .types import (
@@ -107,6 +110,85 @@ def _fractional_cfo(segment: np.ndarray, replica: np.ndarray, fft_size: int) -> 
     return float(np.angle(p2 * np.conj(p1)) * fft_size / (2.0 * np.pi * half))
 
 
+def _scan_block_len(params: OfdmParams) -> int:
+    """Overlap-save block length: the smallest power of two >= 4 symbols.
+
+    Being a power of two at least fft_size long, it is a multiple of
+    fft_size, so an integer-bin CFO is a whole-bin roll of its spectrum.
+    """
+    return 1 << (4 * params.symbol_len - 1).bit_length()
+
+
+@lru_cache(maxsize=8)
+def _pss_replica_spectra(params: OfdmParams) -> np.ndarray:
+    """Conjugated block-length spectra of the three PSS replicas, shape (3, L)."""
+    spectra = np.conj(np.fft.fft(_pss_replicas(params), n=_scan_block_len(params)))
+    spectra.setflags(write=False)
+    return spectra
+
+
+def _find_peaks(x: np.ndarray, height: float, distance: int) -> np.ndarray:
+    """Indices of local maxima of `x` that reach `height`, `distance` apart.
+
+    A flat-topped maximum counts once, at the middle of its plateau (rounded
+    down), and the first and last samples are never peaks. Of peaks closer
+    than `distance`, the highest is kept and its neighbours dropped, highest
+    first; equal heights are taken in the order of a default np.argsort.
+    """
+    dx = np.diff(x)
+    steps = np.flatnonzero(dx)
+    rising = dx[steps] > 0
+    tops = np.flatnonzero(rising[:-1] & ~rising[1:])
+    peaks = (steps[tops] + 1 + steps[tops + 1]) // 2
+    peaks = peaks[x[peaks] >= height]
+    keep = np.ones(peaks.size, dtype=bool)
+    for j in np.argsort(x[peaks])[::-1]:
+        if not keep[j]:
+            continue
+        lo = np.searchsorted(peaks, peaks[j] - distance, side="right")
+        hi = np.searchsorted(peaks, peaks[j] + distance, side="left")
+        keep[lo:hi] = False
+        keep[j] = True
+    return peaks[keep]
+
+
+def _pss_scan(x: np.ndarray, params: OfdmParams, max_cfo_bins: int):
+    """Yield (metric, winning CFO bin) per lag for sectors n2 = 0, 1, 2.
+
+    The metric at lag t is |sum_j x[t+j] conj(r[j])| / (|x[t:t+len]| |r|),
+    maximized over the replicas r of the sector shifted by integer CFO bins;
+    zero-energy windows score 0. It is computed by overlap-save, as the
+    module docstring describes.
+    """
+    length = params.symbol_len
+    csum = np.concatenate(([0.0], np.cumsum(np.abs(x) ** 2)))
+    window_energy = csum[length:] - csum[:-length]
+    n_lags = x.size - length + 1
+
+    # Block b holds x[b*step : b*step + block]; its first `step` circular
+    # correlation lags are free of wrap-around and are lags b*step + t.
+    block = _scan_block_len(params)
+    step = block - length + 1
+    n_blocks = -(-n_lags // step)
+    padded = np.zeros((n_blocks - 1) * step + block, dtype=np.complex128)
+    padded[:x.size] = x
+    blocks = np.lib.stride_tricks.sliding_window_view(padded, block)[::step]
+    x_spec = np.fft.fft(blocks, axis=1)
+    bin_shift = block // params.fft_size
+
+    for base, spectrum in zip(_pss_replicas(params), _pss_replica_spectra(params)):
+        denom = np.sqrt(window_energy * float(np.sum(np.abs(base) ** 2)))
+        peak_corr = np.zeros(n_lags)
+        k_best = np.zeros(n_lags, dtype=np.int64)
+        for k in range(-max_cfo_bins, max_cfo_bins + 1):
+            corr = np.fft.ifft(x_spec * np.roll(spectrum, k * bin_shift), axis=1)
+            mag = np.abs(corr[:, :step]).reshape(-1)[:n_lags]
+            np.copyto(k_best, k, where=mag > peak_corr)
+            np.maximum(peak_corr, mag, out=peak_corr)
+        metric = np.divide(peak_corr, denom, out=np.zeros(n_lags), where=denom > 0)
+        yield metric, k_best
+
+
 def detect_pss(
     capture: IqCapture,
     params: OfdmParams,
@@ -135,32 +217,15 @@ def detect_pss(
             f"capture of {x.size} samples shorter than one OFDM symbol ({length})"
         )
     replicas = _pss_replicas(params)
-
-    csum = np.concatenate(([0.0], np.cumsum(np.abs(x) ** 2)))
-    window_energy = csum[length:] - csum[:-length]
-    n_lags = x.size - length + 1
-
     ramp = np.arange(length) / params.fft_size
     candidates: list[PssCandidate] = []
-    for n2 in range(3):
-        base = replicas[n2]
-        denom = np.sqrt(window_energy * float(np.sum(np.abs(base) ** 2)))
-        metric = np.zeros(n_lags)
-        k_best = np.zeros(n_lags, dtype=np.int64)
-        for k in range(-max_cfo_bins, max_cfo_bins + 1):
-            rep_k = base * np.exp(2j * np.pi * k * ramp)
-            corr = sp_signal.fftconvolve(x, np.conj(rep_k[::-1]), mode="valid")
-            m = np.divide(np.abs(corr), denom, out=np.zeros(n_lags), where=denom > 0)
-            better = m > metric
-            metric[better] = m[better]
-            k_best[better] = k
+    for n2, (metric, k_best) in enumerate(_pss_scan(x, params, max_cfo_bins)):
         # pad so maxima at the capture edges are still local peaks
         padded = np.concatenate(([-1.0], metric, [-1.0]))
-        peaks, _ = sp_signal.find_peaks(padded, height=threshold, distance=length)
-        for p in peaks:
+        for p in _find_peaks(padded, threshold, length):
             lag = int(p - 1)
             k = int(k_best[lag])
-            rep_k = base * np.exp(2j * np.pi * k * ramp)
+            rep_k = replicas[n2] * np.exp(2j * np.pi * k * ramp)
             frac = _fractional_cfo(x[lag:lag + length], rep_k, params.fft_size)
             candidates.append(
                 PssCandidate(
@@ -192,6 +257,18 @@ def demodulate_burst(
     return ofdm_demodulate(seg, params, symbol_start=0, n_symbols=N_SSB_SYMBOLS)
 
 
+def _sss_from_grid(grid: ResourceGrid, n2: int) -> tuple[int, float]:
+    """SSS group decision on a demodulated burst; see detect_sss."""
+    sync = slice(SYNC_FIRST_SUBCARRIER, SYNC_FIRST_SUBCARRIER + SYNC_SEQ_LEN)
+    chan = np.mean(grid.data[0, sync] * gen_pss(n2))  # LS per RE, then flat
+    equalized = grid.data[2, sync] * np.conj(chan)
+    scores = np.abs(_sss_bank(n2) @ equalized)
+    denom = np.linalg.norm(equalized) * np.sqrt(SYNC_SEQ_LEN)
+    n1 = int(np.argmax(scores))
+    metric = float(scores[n1] / denom) if denom > 0 else 0.0
+    return n1, metric
+
+
 def detect_sss(
     capture: IqCapture, cand: PssCandidate, params: OfdmParams
 ) -> tuple[int, float]:
@@ -206,14 +283,7 @@ def detect_sss(
         (n1, normalized metric of the winning hypothesis).
     """
     grid = demodulate_burst(capture, cand.timing, cand.cfo, params)
-    sync = slice(SYNC_FIRST_SUBCARRIER, SYNC_FIRST_SUBCARRIER + SYNC_SEQ_LEN)
-    chan = np.mean(grid.data[0, sync] * gen_pss(cand.n2))  # LS per RE, then flat
-    equalized = grid.data[2, sync] * np.conj(chan)
-    scores = np.abs(_sss_bank(cand.n2) @ equalized)
-    denom = np.linalg.norm(equalized) * np.sqrt(SYNC_SEQ_LEN)
-    n1 = int(np.argmax(scores))
-    metric = float(scores[n1] / denom) if denom > 0 else 0.0
-    return n1, metric
+    return _sss_from_grid(grid, cand.n2)
 
 
 def identify_ssb_index(grid: ResourceGrid, cell_id: CellId) -> tuple[int, float]:
@@ -267,17 +337,17 @@ def enumerate_ssb_bursts(
         return DetectionResult(cell_id=None)
 
     votes: Counter[tuple[int, int]] = Counter()
-    staged: list[tuple[PssCandidate, int, float]] = []
+    staged: list[tuple[PssCandidate, ResourceGrid, float]] = []
     for cand in merged:
-        n1, sss_metric = detect_sss(capture, cand, params)
+        grid = demodulate_burst(capture, cand.timing, cand.cfo, params)
+        n1, sss_metric = _sss_from_grid(grid, cand.n2)
         votes[(n1, cand.n2)] += 1
-        staged.append((cand, n1, sss_metric))
+        staged.append((cand, grid, sss_metric))
     (n1, n2), _ = min(votes.items(), key=lambda kv: (-kv[1], 3 * kv[0][0] + kv[0][1]))
     cell_id = CellId(n1=n1, n2=n2)
 
     bursts = []
-    for cand, _, sss_metric in staged:
-        grid = demodulate_burst(capture, cand.timing, cand.cfo, params)
+    for cand, grid, sss_metric in staged:
         i_bar, dmrs_metric = identify_ssb_index(grid, cell_id)
         bursts.append(
             SsbBurst(

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nrlab
 from nrlab.cli import EXIT_ERROR, EXIT_NO_FINDINGS, EXIT_OK, main
 from nrlab.io import read_report, read_sidecar, write_sweep_csv
 from nrlab.sounding import FrequencySweep
@@ -324,3 +329,20 @@ class TestUsage:
     def test_detect_rejects_seed(self, tmp_path, cell3_capture):
         assert run("detect", "--in", cell3_capture, "--seed", 1) == EXIT_ERROR
         assert not (tmp_path / "cell3.iq.detection.json").exists()
+
+
+class TestImports:
+    def test_import_loads_no_scipy(self):
+        # scipy is a test-only dependency; importing the package and its CLI
+        # in a fresh interpreter must not pull in any of it.
+        env = dict(os.environ, PYTHONPATH=str(Path(nrlab.__file__).parents[1]))
+        probe = (
+            "import sys, nrlab, nrlab.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+            check=True, timeout=120,
+        )
+        assert out.stdout.strip() == "[]"

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import signal
 
 from nrlab import (
     CellId,
     IqCapture,
+    OfdmParams,
     ResourceGrid,
     SsbConfig,
     demodulate_burst,
@@ -15,7 +19,15 @@ from nrlab import (
     map_ssb,
     synthesize_bursts,
 )
-from nrlab.detector import DEFAULT_PSS_THRESHOLD
+from nrlab.detector import (
+    DEFAULT_PSS_THRESHOLD,
+    _find_peaks,
+    _fractional_cfo,
+    _pss_replicas,
+    _pss_scan,
+)
+from nrlab.otasim import awgn
+from pss_reference import reference_detect_pss
 
 
 def noise_capture(n, seed, sample_rate):
@@ -77,6 +89,123 @@ class TestDetectPss:
     def test_threshold_range_checked(self, params, burst_capture):
         with pytest.raises(ValueError):
             detect_pss(burst_capture(), params, threshold=1.5)
+
+
+def scan_block_geometry(params):
+    """Overlap-save block length and hop: the smallest power of two >= 4
+    symbols, and the lags that one block contributes."""
+    block = 1 << (4 * params.symbol_len - 1).bit_length()
+    return block, block - params.symbol_len + 1
+
+
+def with_cfo(capture, cfo_hz):
+    n = np.arange(len(capture))
+    return IqCapture(
+        capture.samples * np.exp(2j * np.pi * cfo_hz / capture.sample_rate * n),
+        capture.sample_rate,
+    )
+
+
+def bin_replicas(params, n2):
+    """The sector's replica shifted by each CFO bin -2..2."""
+    ramp = np.arange(params.symbol_len) / params.fft_size
+    base = _pss_replicas(params)[n2]
+    return {k: base * np.exp(2j * np.pi * k * ramp) for k in range(-2, 3)}
+
+
+def assert_matches_reference(capture, params, threshold=DEFAULT_PSS_THRESHOLD):
+    """The scan finds what the direct fftconvolve scan finds: the same (n2,
+    timing) list and winning CFO bins, metric and CFO within 1e-12.
+
+    Two bins can tie exactly: a burst offset by exactly half a subcarrier
+    correlates equally with the bins either side. Rounding decides such a
+    tie in either scan, so there both bins must correlate within 1e-12 of
+    the best, and the CFO must be the one refined from the bin the scan took.
+    """
+    cands = detect_pss(capture, params, threshold)
+    ref = reference_detect_pss(capture, params, threshold)
+    assert [(c.n2, c.timing) for c in cands] == [(r.n2, r.timing) for r, _ in ref]
+    k_best = [k for _, k in _pss_scan(capture.samples, params, 2)]
+    for c, (r, k_ref) in zip(cands, ref):
+        cfo_ref = r.cfo
+        k = int(k_best[c.n2][c.timing])
+        if k != k_ref:
+            segment = capture.samples[c.timing:c.timing + params.symbol_len]
+            reps = bin_replicas(params, c.n2)
+            corr = {j: abs(np.vdot(rep, segment)) for j, rep in reps.items()}
+            assert corr[k] == pytest.approx(corr[k_ref], rel=1e-12)
+            assert corr[k] == pytest.approx(max(corr.values()), rel=1e-12)
+            frac = _fractional_cfo(segment, reps[k], params.fft_size)
+            cfo_ref = (k + frac) * params.scs
+        assert c.metric == pytest.approx(r.metric, rel=1e-12)
+        assert c.cfo == pytest.approx(cfo_ref, rel=1e-12, abs=1e-12 * params.scs)
+    return cands
+
+
+REFERENCE_CAPTURES = {
+    "noiseless": lambda make, p: make(cell=3, bursts=8, period=5480, lead_in=1000,
+                                      tail=1000),
+    "snr-0db-seed0": lambda make, p: make(cell=3, bursts=4, snr_db=0.0, seed=0),
+    "snr-0db-seed7": lambda make, p: make(cell=122, bursts=4, snr_db=0.0, seed=7),
+    "cfo+0.5scs": lambda make, p: with_cfo(make(cell=3, lead_in=1000, tail=500),
+                                           0.5 * p.scs),
+    "cfo-0.5scs": lambda make, p: with_cfo(make(cell=4, bursts=2, snr_db=5.0, seed=2),
+                                           -0.5 * p.scs),
+}
+
+
+class TestPssScanReference:
+    @pytest.mark.parametrize("case", sorted(REFERENCE_CAPTURES))
+    def test_bursts(self, case, params, burst_capture):
+        capture = REFERENCE_CAPTURES[case](burst_capture, params)
+        assert assert_matches_reference(capture, params)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_noise_only_low_threshold(self, seed, params):
+        capture = noise_capture(50_000, seed, params.sample_rate)
+        assert assert_matches_reference(capture, params, threshold=0.2)
+
+    def test_fft_size_512(self):
+        p512 = OfdmParams(fft_size=512, cp_len=36)
+        cfg = SsbConfig(cell_id=CellId.from_cell(77), burst_count=3, burst_period=2600)
+        capture = awgn(synthesize_bursts(cfg, p512), 0.05, rng=4)
+        assert len(assert_matches_reference(capture, p512)) == 3
+
+    def test_capture_of_one_symbol(self, params, burst_capture):
+        samples = burst_capture(cell=5, lead_in=0).samples[:params.symbol_len]
+        capture = IqCapture(samples, params.sample_rate)
+        assert [c.timing for c in assert_matches_reference(capture, params)] == [0]
+
+    def test_capture_shorter_than_one_block(self, params, burst_capture):
+        capture = burst_capture(cell=8, lead_in=200, tail=0)
+        assert len(capture) < scan_block_geometry(params)[0]
+        assert [c.timing for c in assert_matches_reference(capture, params)] == [200]
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1, 137])
+    def test_pss_straddling_block_boundary_found_once(self, offset, params,
+                                                      burst_capture):
+        # The PSS window starts `offset` samples before the first lag that
+        # the second block contributes, so it spans both blocks' samples.
+        _, step = scan_block_geometry(params)
+        lead_in = step - offset
+        capture = burst_capture(cell=11, lead_in=lead_in, tail=3000)
+        cands = assert_matches_reference(capture, params)
+        assert [c.timing for c in cands] == [lead_in]
+
+
+class TestFindPeaks:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        levels=st.lists(st.integers(0, 4), max_size=120),
+        height=st.integers(0, 4),
+        distance=st.integers(1, 12),
+    )
+    def test_matches_scipy_find_peaks(self, levels, height, distance):
+        # Five levels make plateaus, equal-height peaks within `distance` and
+        # maxima at either edge of the unpadded array common.
+        padded = np.concatenate(([-1.0], np.array(levels, float) / 4, [-1.0]))
+        want, _ = signal.find_peaks(padded, height=height / 4, distance=distance)
+        np.testing.assert_array_equal(_find_peaks(padded, height / 4, distance), want)
 
 
 class TestDetectSss:
