@@ -36,11 +36,7 @@ def write_capture(
     extra: dict | None = None,
 ) -> None:
     """Write raw float32 IQ plus its sidecar; extra keys are carried through."""
-    samples = capture.samples / capture.scale
-    interleaved = np.empty(2 * samples.size, dtype="<f4")
-    interleaved[0::2] = samples.real
-    interleaved[1::2] = samples.imag
-    Path(path).write_bytes(interleaved.tobytes())
+    Path(path).write_bytes((capture.samples / capture.scale).astype("<c8").tobytes())
 
     sidecar = dict(extra or {})
     sidecar["sample_rate_hz"] = capture.sample_rate
@@ -92,8 +88,7 @@ def read_capture(path) -> tuple[IqCapture, dict]:
             f"IQ file {path} holds an odd number of floats ({raw.size}); "
             "expected interleaved I/Q pairs"
         )
-    samples = (raw[0::2].astype(np.float64)
-               + 1j * raw[1::2].astype(np.float64)) * sidecar["scale"]
+    samples = raw.view("<c8").astype(np.complex128) * sidecar["scale"]
     capture = IqCapture(
         samples,
         sample_rate=float(sidecar["sample_rate_hz"]),

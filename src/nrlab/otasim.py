@@ -24,12 +24,6 @@ NOISE_AMPLIFICATION_FLOOR_DB = -20.0
 _SOUNDING_PHASES = (0.0, 2.0 * np.pi / 3.0, 4.0 * np.pi / 3.0)
 
 
-def _as_rng(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
-
-
 @dataclass
 class TransferMatrix:
     """Complex coupling matrix between probe ports and DUT ports."""
@@ -105,7 +99,7 @@ def random_well_conditioned(
     """
     if condition_limit <= 1:
         raise ValueError(f"condition_limit must be > 1, got {condition_limit}")
-    gen = _as_rng(rng)
+    gen = np.random.default_rng(rng)
 
     def unitary() -> np.ndarray:
         z = gen.standard_normal((n_ports, n_ports)) + 1j * gen.standard_normal(
@@ -138,7 +132,7 @@ def sound_rsrp(
         )
     y = a.a @ w
     if noise_db is not None:
-        gen = _as_rng(rng)
+        gen = np.random.default_rng(rng)
         sigma2 = float(np.mean(np.abs(y) ** 2)) * 10.0 ** (-noise_db / 10.0)
         noise = gen.standard_normal(y.size) + 1j * gen.standard_normal(y.size)
         y = y + np.sqrt(sigma2 / 2.0) * noise
@@ -149,7 +143,7 @@ def make_rsrp_sounder(
     a: TransferMatrix, noise_db: float | None = None, rng=None
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Bind a transfer matrix (and noise state) into a sounding callable."""
-    gen = _as_rng(rng)
+    gen = np.random.default_rng(rng)
 
     def sounder(tx_weights: np.ndarray) -> np.ndarray:
         return sound_rsrp(a, tx_weights, noise_db=noise_db, rng=gen)
@@ -227,16 +221,10 @@ def isolation_db(t: np.ndarray, cap_db: float = ISOLATION_CAP_DB) -> float:
     power = np.abs(t) ** 2
     diag = np.diag(power)
     off = power.sum(axis=1) - diag
-    worst = np.inf
-    for d, o in zip(diag, off):
-        if d == 0.0:
-            value = -np.inf
-        elif o == 0.0 or 10.0 * np.log10(d / o) > cap_db:
-            value = cap_db
-        else:
-            value = 10.0 * np.log10(d / o)
-        worst = min(worst, value)
-    return float(worst)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rows = 10.0 * np.log10(diag / off)
+    rows[diag == 0.0] = -np.inf
+    return float(np.minimum(rows, cap_db).min())
 
 
 def simulate_rc_channel(model: RcChannelModel) -> FadingRealization:
@@ -330,7 +318,7 @@ def awgn(capture: IqCapture, noise_power: float, rng=None) -> IqCapture:
     """Add seeded complex white Gaussian noise of the given per-sample power."""
     if noise_power < 0:
         raise ValueError(f"noise_power must be >= 0, got {noise_power}")
-    gen = _as_rng(rng)
+    gen = np.random.default_rng(rng)
     n = capture.samples.size
     noise = (gen.standard_normal(n) + 1j * gen.standard_normal(n)) * np.sqrt(
         noise_power / 2.0

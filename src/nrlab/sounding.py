@@ -155,6 +155,18 @@ class LinkBudget(NamedTuple):
     feasible: bool
 
 
+def _delay_taps(h: np.ndarray, window: str, pad_factor: int) -> np.ndarray:
+    """Windowed, zero-padded inverse transform of one sweep's responses."""
+    if window not in _WINDOWS:
+        raise ValueError(f"window must be one of {sorted(_WINDOWS)}, got {window!r}")
+    if pad_factor < 1:
+        raise ValueError(f"pad_factor must be >= 1, got {pad_factor}")
+    n = h.size
+    w = _WINDOWS[window](n)
+    n_fft = pad_factor * n
+    return np.fft.ifft(h * w / w.mean(), n_fft) * (n_fft / n)
+
+
 def sweep_to_cir(
     sweep: FrequencySweep, window: str = "hann", pad_factor: int = 4
 ) -> Cir:
@@ -165,18 +177,10 @@ def sweep_to_cir(
     Zero padding by pad_factor refines the delay sampling to
     1/(pad_factor*N*df) without adding resolution.
     """
-    if window not in _WINDOWS:
-        raise ValueError(f"window must be one of {sorted(_WINDOWS)}, got {window!r}")
-    if pad_factor < 1:
-        raise ValueError(f"pad_factor must be >= 1, got {pad_factor}")
-    n = sweep.h.size
-    w = _WINDOWS[window](n)
-    windowed = sweep.h * w / w.mean()
-    n_fft = pad_factor * n
-    taps = np.fft.ifft(windowed, n_fft) * (n_fft / n)
+    taps = _delay_taps(sweep.h, window, pad_factor)
     return Cir(
         taps=taps,
-        delay_resolution=1.0 / (n_fft * sweep.df),
+        delay_resolution=1.0 / (taps.size * sweep.df),
         max_delay=1.0 / sweep.df,
     )
 
@@ -246,16 +250,18 @@ def aoa_delay_profile(
     reference_freq: float | None = None,
     window: str = "hann",
     pad_factor: int = 4,
-    mask_db: float = PATTERN_MASK_DB,
 ) -> AoaDelayProfile:
     """Delay-and-sum beamforming over an angle grid, then delay transform per angle.
 
     For each hypothesis angle the element responses are aligned with steering
-    phases exp(+j*2*pi*f*(r_m . u(angle))/c) and summed; the combined sweep
-    goes through sweep_to_cir and the rows are stacked and globally
-    normalized to a 0 dB peak. With reference_freq set, the steering phase
-    uses that single frequency for every point (narrowband approximation)
-    instead of the per-point frequency.
+    phases exp(+j*2*pi*f*(r_m . u(angle))/c) and summed; the combined
+    response goes through the same windowed delay transform as sweep_to_cir
+    and its magnitude fills that angle's row of the map, which is globally
+    normalized to a 0 dB peak. With pattern compensation, angles whose
+    pattern gain is below PATTERN_MASK_DB are flagged invalid and left NaN.
+    With reference_freq set, the steering phase uses that single frequency
+    for every point (narrowband approximation) instead of the per-point
+    frequency.
     """
     angles = np.asarray(angle_grid_deg, dtype=np.float64)
     if angles.ndim != 1 or angles.size < 1:
@@ -267,48 +273,34 @@ def aoa_delay_profile(
     if scan.compensate_pattern and not scan.pattern.covers(angles):
         raise ValueError("pattern table does not cover the angle grid")
 
+    gains = None
+    valid = np.ones(angles.size, dtype=bool)
+    if scan.compensate_pattern:
+        gains = scan.pattern.gain_at(angles)
+        valid = np.abs(gains) >= 10.0 ** (PATTERN_MASK_DB / 20.0)
+        if not valid.any():
+            raise ValueError("every angle fell below the pattern mask")
+
     freqs = scan.freqs
     steer_freqs = np.full_like(freqs, reference_freq) if reference_freq else freqs
     h = np.stack([s.h for s in scan.sweeps])  # (n_elem, n_freq)
     directions = _unit_vectors(angles)  # (n_angle, 3)
     delays_m = scan.element_positions @ directions.T / SPEED_OF_LIGHT  # (n_elem, n_angle)
 
-    gains = None
-    if scan.compensate_pattern:
-        gains = scan.pattern.gain_at(angles)
-    mask_lin = 10.0 ** (mask_db / 20.0)
-
-    rows = []
-    valid = np.ones(angles.size, dtype=bool)
-    delays_axis = None
-    for a in range(angles.size):
+    n_fft = pad_factor * freqs.size
+    power = np.full((angles.size, n_fft), np.nan)
+    for a in np.flatnonzero(valid):
         steering = np.exp(2j * np.pi * steer_freqs[None, :] * delays_m[:, a, None])
         combined = (h * steering).sum(axis=0)
         if gains is not None:
-            if np.abs(gains[a]) < mask_lin:
-                valid[a] = False
-                rows.append(None)
-                continue
             combined = combined / gains[a]
-        cir = sweep_to_cir(
-            FrequencySweep(freqs, combined), window=window, pad_factor=pad_factor
-        )
-        delays_axis = cir.delays
-        rows.append(np.abs(cir.taps))
+        power[a] = np.abs(_delay_taps(combined, window, pad_factor))
 
-    if not valid.any():
-        raise ValueError("every angle fell below the pattern mask")
-    n_delay = delays_axis.size
-    power = np.full((angles.size, n_delay), np.nan)
-    for a, row in enumerate(rows):
-        if row is not None:
-            power[a] = row
     peak = np.nanmax(power)
     with np.errstate(divide="ignore", invalid="ignore"):
         power_db = 20.0 * np.log10(power / peak)
-    return AoaDelayProfile(
-        angles_deg=angles, delays=delays_axis, power_db=power_db, valid=valid
-    )
+    delays = np.arange(n_fft) * (1.0 / (n_fft * float(freqs[1] - freqs[0])))
+    return AoaDelayProfile(angles_deg=angles, delays=delays, power_db=power_db, valid=valid)
 
 
 def link_budget_range(

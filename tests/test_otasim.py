@@ -141,6 +141,11 @@ class TestIsolation:
         t[1, 2] = 0.5
         assert isolation_db(t) == -np.inf
 
+    def test_all_zero_row_fails(self):
+        t = np.eye(4, dtype=complex)
+        t[2] = 0.0  # 0/0 on this row must read -inf, not NaN
+        assert isolation_db(t) == -np.inf
+
     def test_calibrated_random_meets_30_db(self):
         truth = random_well_conditioned(4, rng=11)
         est = estimate_transfer_matrix(make_rsrp_sounder(truth), 4)

@@ -15,6 +15,8 @@ from nrlab import (
 )
 from nrlab.sounding import SPEED_OF_LIGHT
 
+from aoa_reference import reference_aoa_delay_profile
+
 N_POINTS = 201
 F_START = 99e9
 DF = 10e6
@@ -327,6 +329,62 @@ class TestDeembedPattern:
         sweeps = plane_wave_scan(ULA16, [(0.0, on_grid_delay(10), 1.0)])
         with pytest.raises(ValueError):
             deembed_pattern(VirtualArrayScan(ULA16, sweeps))
+
+
+def nulled_pattern():
+    """cos^2 pattern with a -40 dB null 55-65 deg, below the -30 dB mask."""
+    pattern = cos_squared_pattern()
+    null = np.abs(pattern.angles_deg - 60.0) <= 5.0
+    pattern.gain[null] *= 10 ** (-40 / 20) / np.abs(pattern.gain[null])
+    return pattern
+
+
+def noisy_scan(pattern=None):
+    paths = [(-20.0, 30.3 / (N_POINTS * DF), 1.0), (47.5, on_grid_delay(90), 0.6)]
+    gain_of = None
+    if pattern is not None:
+        gain_of = lambda ang: complex(pattern.gain_at(np.array([ang]))[0])
+    sweeps = plane_wave_scan(ULA16, paths, gain_of=gain_of)
+    rng = np.random.default_rng(7)
+    for s in sweeps:
+        s.h = s.h + 0.05 * (rng.standard_normal(N_POINTS) + 1j * rng.standard_normal(N_POINTS))
+    scan = VirtualArrayScan(ULA16, sweeps, pattern=pattern)
+    return scan if pattern is None else deembed_pattern(scan)
+
+
+class TestAoaReference:
+    @pytest.mark.parametrize(
+        "pattern, kwargs",
+        [
+            (None, {}),
+            (nulled_pattern(), {"pad_factor": 2, "window": "hamming"}),
+            (None, {"reference_freq": 100e9, "pad_factor": 1}),
+        ],
+        ids=["ula", "deembedded-null", "narrowband"],
+    )
+    def test_matches_per_angle_map(self, pattern, kwargs):
+        scan = noisy_scan(pattern)
+        got = aoa_delay_profile(scan, ANGLES, **kwargs)
+        want = reference_aoa_delay_profile(scan, ANGLES, **kwargs)
+        assert np.array_equal(got.power_db, want.power_db, equal_nan=True)
+        assert np.array_equal(got.delays, want.delays)
+        assert np.array_equal(got.valid, want.valid)
+        assert np.array_equal(got.angles_deg, want.angles_deg)
+        if pattern is not None:
+            assert 0 < np.count_nonzero(~got.valid) < ANGLES.size
+
+    def test_every_angle_masked(self):
+        angles = np.array([-90.0, 90.0])
+        pattern = AntennaPattern(angles_deg=angles, gain=np.full(2, 1e-3 + 0j))
+        sweeps = plane_wave_scan(ULA16, [(0.0, on_grid_delay(10), 1.0)])
+        marked = deembed_pattern(VirtualArrayScan(ULA16, sweeps, pattern=pattern))
+        with pytest.raises(ValueError, match="every angle fell below the pattern mask"):
+            aoa_delay_profile(marked, ANGLES)
+
+    def test_bad_window_rejected(self):
+        scan = VirtualArrayScan(ULA16, plane_wave_scan(ULA16, [(0.0, on_grid_delay(10), 1.0)]))
+        with pytest.raises(ValueError, match="window must be one of"):
+            aoa_delay_profile(scan, ANGLES, window="blackman")
 
 
 class TestLinkBudget:
