@@ -16,7 +16,6 @@ from .detector import (
     detect_pss,
     detect_sss,
     enumerate_ssb_bursts,
-    estimate_occupancy,
     identify_ssb_index,
 )
 from .exposure import (

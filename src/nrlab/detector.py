@@ -35,7 +35,6 @@ from .waveform import ofdm_demodulate, ofdm_modulate, ssb_layout
 # while a matched burst at -6 dB SNR still scores ~0.45.
 DEFAULT_PSS_THRESHOLD = 0.35
 DEFAULT_MAX_CFO_BINS = 2
-OCCUPANCY_MARGIN = 10.0  # an RE is occupied above noise_floor times this
 
 
 @dataclass(frozen=True)
@@ -365,26 +364,3 @@ def enumerate_ssb_bursts(
         cfo=float(np.median([c.cfo for c, _, _ in staged])),
         cell_id_conflict=len(votes) > 1,
     )
-
-
-def estimate_occupancy(
-    grids: list[ResourceGrid],
-    noise_floor: float,
-    margin: float = OCCUPANCY_MARGIN,
-) -> tuple[float, int]:
-    """Fraction of occupied REs and count of occupied 12-subcarrier blocks.
-
-    An RE counts as occupied when its power, averaged over the supplied
-    grids, exceeds noise_floor*margin. A resource block is occupied when any
-    of its REs is.
-    """
-    if not grids:
-        raise ValueError("no grids supplied")
-    shape = grids[0].data.shape
-    if any(g.data.shape != shape for g in grids):
-        raise ValueError("grids do not share dimensions")
-    mean_power = np.mean([np.abs(g.data) ** 2 for g in grids], axis=0)
-    occupied = mean_power > noise_floor * margin
-    n_rb = shape[1] // 12
-    rb_occupied = occupied[:, :n_rb * 12].reshape(shape[0], n_rb, 12).any(axis=(0, 2))
-    return float(occupied.mean()), int(rb_occupied.sum())

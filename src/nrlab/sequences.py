@@ -1,8 +1,9 @@
 """Synchronization-block sequence generators (PSS, SSS, Gold, PBCH DM-RS).
 
-All generators are pure: identical inputs give bit-identical outputs. The
-heavy Gold recurrence is evaluated in vectorized blocks of 28 bits, the
-largest step allowed by the 31-stage register with its highest tap at +3.
+All generators are pure: identical inputs give bit-identical outputs. Gold
+bits come from basis tables built once per size: x1 does not depend on c_init
+and each x2 bit is a fixed GF(2) linear function of its 31 bits (TS 38.211
+5.2.1), so a call is a slice, an AND with c_init and a parity.
 """
 from __future__ import annotations
 
@@ -67,8 +68,35 @@ def gen_sss(n1: int, n2: int) -> np.ndarray:
     )
 
 
+@lru_cache(maxsize=None)
+def _gold_basis(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """x1(0..size-1) as uint8, and per n the uint32 mask of c_init bits XORed into x2(n).
+
+    Both recurrences run in blocks of 28 bits, the largest step the 31-stage
+    registers allow with their highest tap at +3. Callers pass powers of two,
+    so the cache holds a few read-only tables.
+    """
+    x1 = np.zeros(size, dtype=np.uint8)
+    x2 = np.zeros(size, dtype=np.uint32)
+    x1[0] = 1
+    x2[:31] = 1 << np.arange(31, dtype=np.uint32)
+    filled = 31
+    while filled < size:
+        step = min(28, size - filled)
+        n = np.arange(filled - 31, filled - 31 + step)
+        x1[filled:filled + step] = x1[n + 3] ^ x1[n]
+        x2[filled:filled + step] = x2[n + 3] ^ x2[n + 2] ^ x2[n + 1] ^ x2[n]
+        filled += step
+    x1.setflags(write=False)
+    x2.setflags(write=False)
+    return x1, x2
+
+
 def gen_gold(c_init: int, offset: int, length: int) -> np.ndarray:
     """Length-31 Gold bit sequence c(offset..offset+length-1).
+
+    c(n) is x1(n) XOR the parity of c_init AND the x2 mask of n, read from
+    the smallest power-of-two basis tables that hold the 1600-bit run-in.
 
     Args:
         c_init: 31-bit initializer of the second register (bit i of c_init
@@ -77,7 +105,7 @@ def gen_gold(c_init: int, offset: int, length: int) -> np.ndarray:
         length: number of output bits.
 
     Returns:
-        uint8 array of bits in {0, 1}.
+        A fresh uint8 array of bits in {0, 1}.
     """
     if not 0 <= c_init < 2**31:
         raise ValueError(f"c_init must be a 31-bit value, got {c_init}")
@@ -85,20 +113,13 @@ def gen_gold(c_init: int, offset: int, length: int) -> np.ndarray:
         raise ValueError(f"offset must be >= 0, got {offset}")
     if length < 0:
         raise ValueError(f"length must be >= 0, got {length}")
-    total = _GOLD_ADVANCE + offset + length
-    x1 = np.zeros(total, dtype=np.uint8)
-    x2 = np.zeros(total, dtype=np.uint8)
-    x1[0] = 1
-    x2[:31] = [(c_init >> i) & 1 for i in range(31)]
-    filled = 31
-    while filled < total:
-        step = min(28, total - filled)
-        n = np.arange(filled - 31, filled - 31 + step)
-        x1[filled:filled + step] = x1[n + 3] ^ x1[n]
-        x2[filled:filled + step] = x2[n + 3] ^ x2[n + 2] ^ x2[n + 1] ^ x2[n]
-        filled += step
     start = _GOLD_ADVANCE + offset
-    return x1[start:start + length] ^ x2[start:start + length]
+    stop = start + length
+    x1, masks = _gold_basis(1 << (stop - 1).bit_length())
+    parity = masks[start:stop] & np.uint32(c_init)
+    for shift in (16, 8, 4, 2, 1):
+        parity ^= parity >> shift
+    return x1[start:stop] ^ (parity & 1).astype(np.uint8)
 
 
 def qpsk_from_bits(bits: np.ndarray) -> np.ndarray:

@@ -146,7 +146,8 @@ def synthesize_bursts(
 
     Burst k starts at lead_in + k*burst_period and carries SSB index
     (cfg.i_ssb_bar + k) mod l_max, so an 8-burst set starting at index 0
-    walks through all eight indices.
+    walks through all eight indices. Each distinct SSB index is modulated
+    once per call and copied into every burst that carries it.
     """
     ssb_len = N_SSB_SYMBOLS * params.symbol_len
     if cfg.burst_count > 1 and cfg.burst_period < ssb_len:
@@ -156,10 +157,11 @@ def synthesize_bursts(
     span = ssb_len if cfg.burst_count else 0
     total = lead_in + max(cfg.burst_count - 1, 0) * cfg.burst_period + span + tail
     out = np.zeros(total, dtype=np.complex128)
+    waveforms: dict[int, np.ndarray] = {}
     for k in range(cfg.burst_count):
-        burst_cfg = dataclasses.replace(
-            cfg, i_ssb_bar=(cfg.i_ssb_bar + k) % cfg.l_max
-        )
+        index = (cfg.i_ssb_bar + k) % cfg.l_max
+        if index not in waveforms:
+            waveforms[index] = ssb_waveform(dataclasses.replace(cfg, i_ssb_bar=index), params)
         start = lead_in + k * cfg.burst_period
-        out[start:start + ssb_len] = ssb_waveform(burst_cfg, params)
+        out[start:start + ssb_len] = waveforms[index]
     return IqCapture(out, sample_rate=params.sample_rate)

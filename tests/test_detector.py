@@ -8,13 +8,11 @@ from nrlab import (
     CellId,
     IqCapture,
     OfdmParams,
-    ResourceGrid,
     SsbConfig,
     demodulate_burst,
     detect_pss,
     detect_sss,
     enumerate_ssb_bursts,
-    estimate_occupancy,
     identify_ssb_index,
     map_ssb,
     synthesize_bursts,
@@ -351,37 +349,6 @@ class TestInvariants:
             assert abs(x.pss_metric - y.pss_metric) < 1e-9
             assert abs(x.sss_metric - y.sss_metric) < 1e-9
             assert abs(x.dmrs_metric - y.dmrs_metric) < 1e-9
-
-
-class TestOccupancy:
-    def test_zero_grids(self):
-        grids = [ResourceGrid(np.zeros((4, 240), complex))]
-        frac, rb = estimate_occupancy(grids, noise_floor=1e-9)
-        assert frac == 0.0 and rb == 0
-
-    def test_fully_loaded(self):
-        grids = [ResourceGrid(np.full((4, 240), 3.0 + 0j))]
-        frac, rb = estimate_occupancy(grids, noise_floor=1e-6)
-        assert frac == 1.0 and rb == 20
-
-    def test_half_loaded(self):
-        data = np.zeros((4, 240), complex)
-        data[:2, :] = 1.0  # 20 dB above floor*margin with floor 1e-3, margin 10
-        frac, rb = estimate_occupancy([ResourceGrid(data)], noise_floor=1e-3)
-        assert abs(frac - 0.5) <= 0.01
-        assert rb == 20
-
-    def test_empty_input(self):
-        with pytest.raises(ValueError):
-            estimate_occupancy([], noise_floor=1.0)
-
-    def test_mismatched_shapes(self):
-        grids = [
-            ResourceGrid(np.zeros((4, 240), complex)),
-            ResourceGrid(np.zeros((2, 240), complex)),
-        ]
-        with pytest.raises(ValueError):
-            estimate_occupancy(grids, noise_floor=1.0)
 
 
 class TestDemodulateBurst:

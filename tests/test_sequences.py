@@ -1,6 +1,8 @@
+import hashlib
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
@@ -14,6 +16,10 @@ from reference_sequences import ref_dmrs, ref_gold, ref_pss, ref_sss
 PSS0_FIRST_16 = [1, -1, -1, 1, -1, -1, -1, -1, 1, 1, -1, -1, -1, 1, 1, -1]
 SSS_1_0_FIRST_12 = [-1, 1, 1, 1, 1, 1, -1, -1, 1, 1, -1, 1]
 GOLD_CINIT0_FIRST_16 = [0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 1, 0, 1, 0]
+# SHA-256 of the PBCH placeholder bits gen_gold(c, 0, 864) for c in 0..1007,
+# then the DM-RS bits gen_gold(dmrs_c_init(cell, i), 0, 288) for every cell and
+# i in 0..7, as raw uint8 bytes; frozen from the register-stepping generator
+GOLD_NR_DIGEST = "12f3794516c9cc56b0319fe174cecdf1caa49bf9e71d7f3ee9bedceb49a354bc"
 
 
 class TestPss:
@@ -105,6 +111,37 @@ class TestGold:
         assert chunk.size == length
         assert set(np.unique(chunk)) <= {0, 1}
         assert_array_equal(chunk, full[offset:offset + length])
+
+    # the examples end at, just past and across the 2048- and 4096-bit table edges
+    @given(
+        c_init=st.integers(0, 2**31 - 1),
+        offset=st.integers(0, 3000),
+        length=st.integers(0, 600),
+    )
+    @example(c_init=2**31 - 1, offset=0, length=448)
+    @example(c_init=2**31 - 1, offset=0, length=449)
+    @example(c_init=0x2AAAAAAA, offset=447, length=2)
+    @example(c_init=0x55555555, offset=2495, length=2)
+    @example(c_init=1, offset=3000, length=600)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference_anywhere(self, c_init, offset, length):
+        assert_array_equal(gen_gold(c_init, offset, length), ref_gold(c_init, offset, length))
+
+    def test_every_nr_initializer_frozen(self):
+        digest = hashlib.sha256()
+        for c_init in range(1008):
+            digest.update(gen_gold(c_init, 0, 864).tobytes())
+        for cell in range(1008):
+            for i in range(8):
+                digest.update(gen_gold(dmrs_c_init(cell, i), 0, 288).tobytes())
+        assert digest.hexdigest() == GOLD_NR_DIGEST
+
+    def test_returns_a_fresh_array(self):
+        want = gen_gold(2115, 0, 288).copy()
+        first = gen_gold(2115, 0, 288)
+        assert first.dtype == np.uint8 and first.flags.c_contiguous
+        first[:] ^= 1
+        assert_array_equal(gen_gold(2115, 0, 288), want)
 
     def test_dmrs_c_init_for_cell3(self):
         # 2^11*(0+1)*(3//4+1) + 2^6*(0+1) + 3 mod 4 = 2048 + 64 + 3

@@ -167,6 +167,23 @@ class TestSynthesizeBursts:
             got = capture.samples[k * 2000:k * 2000 + want.size]
             assert_allclose(got, want, atol=1e-15)
 
+    @pytest.mark.parametrize("l_max,first", [(4, 3), (8, 5)])
+    def test_each_burst_is_its_index_waveform(self, params, l_max, first):
+        cfg = SsbConfig(
+            cell_id=CellId.from_cell(777), i_ssb_bar=first, l_max=l_max,
+            burst_count=20, burst_period=2300, re_power=0.6,
+        )
+        capture = synthesize_bursts(cfg, params, lead_in=123, tail=45)
+        want = np.zeros(len(capture), dtype=complex)
+        for k in range(20):
+            burst = ssb_waveform(
+                SsbConfig(cell_id=cfg.cell_id, i_ssb_bar=(first + k) % l_max,
+                          l_max=l_max, re_power=0.6),
+                params,
+            )
+            want[123 + k * 2300:123 + k * 2300 + burst.size] = burst
+        assert np.array_equal(capture.samples, want)
+
     def test_zero_bursts_is_silence(self, params):
         cfg = SsbConfig(cell_id=CellId.from_cell(0), burst_count=0)
         capture = synthesize_bursts(cfg, params, lead_in=64, tail=36)
