@@ -14,7 +14,6 @@ from .detector import (
     SsbBurst,
     demodulate_burst,
     detect_pss,
-    detect_sss,
     enumerate_ssb_bursts,
     identify_ssb_index,
 )

@@ -6,8 +6,10 @@ FFT size and transformed once. Each sector's replica has one block spectrum,
 and an integer-bin CFO hypothesis is that spectrum rolled by whole bins, so a
 (sector, CFO bin) hypothesis costs one inverse transform. The winning bin is
 refined by the phase slope between the two halves of the matched symbol.
-Each burst is then demodulated once, and its grid feeds the frequency-domain
-matched correlations of the SSS and DM-RS stages.
+All hypotheses share one set of product, magnitude and comparison buffers.
+Each burst is then demodulated once, its 4 symbols derotated and transformed
+in one call, and its grid feeds the frequency-domain matched correlations of
+the SSS and DM-RS stages against hypothesis banks cached per sector and cell.
 """
 from __future__ import annotations
 
@@ -28,7 +30,7 @@ from .types import (
     SYNC_FIRST_SUBCARRIER,
     SYNC_SEQ_LEN,
 )
-from .waveform import ofdm_demodulate, ofdm_modulate, ssb_layout
+from .waveform import _demodulate_symbols, _subcarrier_bins, ofdm_modulate, ssb_layout
 
 # Calibrated detection threshold: the Monte Carlo in tests/test_detector.py
 # puts noise-only false alarms far below 1% per 1e5 samples at this value,
@@ -82,18 +84,30 @@ def _pss_replicas(params: OfdmParams) -> np.ndarray:
 
 
 @lru_cache(maxsize=3)
+def _pss_sequence(n2: int) -> np.ndarray:
+    """The PSS of one sector index, read-only."""
+    seq = gen_pss(n2)
+    seq.setflags(write=False)
+    return seq
+
+
+@lru_cache(maxsize=3)
 def _sss_bank(n2: int) -> np.ndarray:
-    """All 336 SSS hypotheses for one sector index, shape (336, 127)."""
-    bank = np.stack([gen_sss(n1, n2) for n1 in range(336)])
+    """All 336 SSS hypotheses for one sector index, shape (336, 127).
+
+    Held as complex128, so that the product with an equalized symbol is one
+    BLAS call; its values equal those of the real-valued bank's mixed product.
+    """
+    bank = np.stack([gen_sss(n1, n2) for n1 in range(336)]).astype(np.complex128)
     bank.setflags(write=False)
     return bank
 
 
 @lru_cache(maxsize=64)
 def _dmrs_bank(cell: int) -> np.ndarray:
-    """All 8 DM-RS hypotheses of a cell, shape (8, 144)."""
+    """All 8 DM-RS hypotheses of a cell, conjugated, shape (8, 144)."""
     cid = CellId.from_cell(cell)
-    bank = np.stack([gen_pbch_dmrs(cid, i) for i in range(8)])
+    bank = np.conj(np.stack([gen_pbch_dmrs(cid, i) for i in range(8)]))
     bank.setflags(write=False)
     return bank
 
@@ -157,7 +171,8 @@ def _pss_scan(x: np.ndarray, params: OfdmParams, max_cfo_bins: int):
     The metric at lag t is |sum_j x[t+j] conj(r[j])| / (|x[t:t+len]| |r|),
     maximized over the replicas r of the sector shifted by integer CFO bins;
     zero-energy windows score 0. It is computed by overlap-save, as the
-    module docstring describes.
+    module docstring describes. Of bins that tie on a lag, the first
+    (most negative) wins.
     """
     length = params.symbol_len
     csum = np.concatenate(([0.0], np.cumsum(np.abs(x) ** 2)))
@@ -175,14 +190,21 @@ def _pss_scan(x: np.ndarray, params: OfdmParams, max_cfo_bins: int):
     x_spec = np.fft.fft(blocks, axis=1)
     bin_shift = block // params.fft_size
 
+    # Buffers shared by every hypothesis. The inverse transform still
+    # allocates its output: np.fft takes no out= before numpy 2.0.
+    prod = np.empty_like(x_spec)
+    block_mag = np.empty((n_blocks, step))
+    mag = block_mag.reshape(-1)[:n_lags]
+    better = np.empty(n_lags, dtype=bool)
     for base, spectrum in zip(_pss_replicas(params), _pss_replica_spectra(params)):
         denom = np.sqrt(window_energy * float(np.sum(np.abs(base) ** 2)))
         peak_corr = np.zeros(n_lags)
         k_best = np.zeros(n_lags, dtype=np.int64)
         for k in range(-max_cfo_bins, max_cfo_bins + 1):
-            corr = np.fft.ifft(x_spec * np.roll(spectrum, k * bin_shift), axis=1)
-            mag = np.abs(corr[:, :step]).reshape(-1)[:n_lags]
-            np.copyto(k_best, k, where=mag > peak_corr)
+            np.multiply(x_spec, np.roll(spectrum, k * bin_shift), out=prod)
+            np.abs(np.fft.ifft(prod, axis=1)[:, :step], out=block_mag)
+            np.greater(mag, peak_corr, out=better)
+            np.putmask(k_best, better, k)
             np.maximum(peak_corr, mag, out=peak_corr)
         metric = np.divide(peak_corr, denom, out=np.zeros(n_lags), where=denom > 0)
         yield metric, k_best
@@ -241,48 +263,50 @@ def detect_pss(
 def demodulate_burst(
     capture: IqCapture, timing: int, cfo_hz: float, params: OfdmParams
 ) -> ResourceGrid:
-    """CFO-correct and demodulate one SSB (4 symbols) starting at `timing`."""
+    """CFO-correct and demodulate one SSB (4 symbols) starting at `timing`.
+
+    The derotated samples go straight to ofdm_demodulate's symbol transform,
+    with the SSB's subcarrier bins cached per FFT size.
+
+    Raises:
+        ValueError: the burst does not fit in the capture, the CFO is not
+            finite, or the FFT is narrower than the SSB.
+    """
     length = N_SSB_SYMBOLS * params.symbol_len
     x = capture.samples
     if timing < 0 or timing + length > x.size:
         raise ValueError(
             f"burst at sample {timing} does not fit in capture of {x.size} samples"
         )
+    if not np.isfinite(cfo_hz):
+        raise ValueError(f"cfo_hz must be finite, got {cfo_hz}")
+    bins = _subcarrier_bins(N_SSB_SUBCARRIERS, params.fft_size)
     n = np.arange(length)
     derotated = x[timing:timing + length] * np.exp(
         -2j * np.pi * cfo_hz / params.sample_rate * n
     )
-    seg = IqCapture(derotated, sample_rate=params.sample_rate)
-    return ofdm_demodulate(seg, params, symbol_start=0, n_symbols=N_SSB_SYMBOLS)
+    return _demodulate_symbols(derotated, params, N_SSB_SYMBOLS, bins)
 
 
 def _sss_from_grid(grid: ResourceGrid, n2: int) -> tuple[int, float]:
-    """SSS group decision on a demodulated burst; see detect_sss."""
+    """Identify the SSS group of a demodulated burst with PSS sector `n2`.
+
+    The SSS symbol (two symbols after the PSS) is equalized with the channel
+    estimate taken from the PSS resource elements (per-RE least squares,
+    flattened across the symbol, which averages the estimation noise down),
+    then correlated against all 336 group hypotheses of the sector.
+
+    Returns:
+        (n1, normalized metric of the winning hypothesis).
+    """
     sync = slice(SYNC_FIRST_SUBCARRIER, SYNC_FIRST_SUBCARRIER + SYNC_SEQ_LEN)
-    chan = np.mean(grid.data[0, sync] * gen_pss(n2))  # LS per RE, then flat
+    chan = np.mean(grid.data[0, sync] * _pss_sequence(n2))  # LS per RE, then flat
     equalized = grid.data[2, sync] * np.conj(chan)
     scores = np.abs(_sss_bank(n2) @ equalized)
     denom = np.linalg.norm(equalized) * np.sqrt(SYNC_SEQ_LEN)
     n1 = int(np.argmax(scores))
     metric = float(scores[n1] / denom) if denom > 0 else 0.0
     return n1, metric
-
-
-def detect_sss(
-    capture: IqCapture, cand: PssCandidate, params: OfdmParams
-) -> tuple[int, float]:
-    """Identify the SSS group for a PSS candidate.
-
-    The SSS symbol (two symbols after the PSS) is equalized with the channel
-    estimate taken from the PSS resource elements (per-RE least squares,
-    flattened across the symbol, which averages the estimation noise down),
-    then correlated against all 336 group hypotheses for the candidate's n2.
-
-    Returns:
-        (n1, normalized metric of the winning hypothesis).
-    """
-    grid = demodulate_burst(capture, cand.timing, cand.cfo, params)
-    return _sss_from_grid(grid, cand.n2)
 
 
 def identify_ssb_index(grid: ResourceGrid, cell_id: CellId) -> tuple[int, float]:
@@ -294,7 +318,7 @@ def identify_ssb_index(grid: ResourceGrid, cell_id: CellId) -> tuple[int, float]
     mask = ssb_layout(cell_id.cell)["dmrs"]
     observed = grid.data[mask]
     bank = _dmrs_bank(cell_id.cell)
-    scores = np.abs(bank.conj() @ observed)
+    scores = np.abs(bank @ observed)
     denom = np.linalg.norm(observed) * np.sqrt(bank.shape[1])
     i_bar = int(np.argmax(scores))
     metric = float(scores[i_bar] / denom) if denom > 0 else 0.0

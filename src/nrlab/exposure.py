@@ -3,11 +3,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .detector import DetectionResult
-from .types import ResourceGrid, SsbConfig
+from .types import N_SSB_SYMBOLS, CellId, ResourceGrid, SsbConfig
 from .waveform import map_ssb, ssb_layout
 
 SIGNAL_CLASSES = ("pss", "sss", "dmrs", "pbch")
@@ -52,6 +53,30 @@ class ExposureReport:
     target_check: TargetCheck | None = None
 
 
+@lru_cache(maxsize=8)  # the SSB indices of one cell
+def _despread_table(cell: int, i_ssb_bar: int) -> tuple:
+    """Per signal class, the (symbol, columns, reference, <reference, reference>)
+    of every symbol the class occupies in the unit-power SSB of the cell and
+    SSB index, in SIGNAL_CLASSES order. The arrays are read-only."""
+    reference = map_ssb(
+        SsbConfig(cell_id=CellId.from_cell(cell), i_ssb_bar=i_ssb_bar, re_power=1.0)
+    ).data
+    layout = ssb_layout(cell)
+    table = []
+    for name in SIGNAL_CLASSES:
+        rows = []
+        for sym in range(N_SSB_SYMBOLS):
+            cols = np.flatnonzero(layout[name][sym])
+            if cols.size == 0:
+                continue
+            ref = reference[sym, cols]
+            cols.setflags(write=False)
+            ref.setflags(write=False)
+            rows.append((sym, cols, ref, np.vdot(ref, ref)))
+        table.append((name, tuple(rows)))
+    return tuple(table)
+
+
 def code_selective_power(
     grid: ResourceGrid, detection: DetectionResult, burst_index: int = 0
 ) -> dict[str, float]:
@@ -61,10 +86,11 @@ def code_selective_power(
     per OFDM symbol to the known reference sequence (h = <Y, r>/<r, r>), and
     the power is the RE-count-weighted mean of |h|^2 over the class symbols.
     The coherent fit rejects overlaid content from other cells through the
-    sequence cross-correlation.
+    sequence cross-correlation. The class positions, the references and
+    <r, r> come from a table built once per (cell, SSB index).
 
     Args:
-        grid: demodulated SSB grid, timing/CFO-aligned.
+        grid: demodulated 4 x 240 SSB grid, timing/CFO-aligned.
         detection: result identifying the cell and per-burst SSB indices.
         burst_index: which detected burst the grid belongs to.
     """
@@ -73,25 +99,15 @@ def code_selective_power(
     if detection.cell_id is None:
         raise ValueError("detection carries no cell identity")
     burst = detection.bursts[burst_index]
-    reference = map_ssb(
-        SsbConfig(cell_id=detection.cell_id, i_ssb_bar=burst.i_ssb_bar, re_power=1.0)
-    )
-    layout = ssb_layout(detection.cell_id.cell)
 
     powers: dict[str, float] = {}
-    for name in SIGNAL_CLASSES:
-        mask = layout[name]
+    for name, rows in _despread_table(detection.cell_id.cell, burst.i_ssb_bar):
         acc = 0.0
         count = 0
-        for sym in range(grid.n_symbols):
-            cols = mask[sym]
-            n = int(cols.sum())
-            if n == 0:
-                continue
-            ref = reference.data[sym, cols]
-            fit = np.vdot(ref, grid.data[sym, cols]) / np.vdot(ref, ref)
-            acc += n * float(np.abs(fit) ** 2)
-            count += n
+        for sym, cols, ref, ref_energy in rows:
+            fit = np.vdot(ref, grid.data[sym, cols]) / ref_energy
+            acc += cols.size * float(np.abs(fit) ** 2)
+            count += cols.size
         powers[name] = acc / count
     return powers
 

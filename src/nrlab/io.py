@@ -237,10 +237,6 @@ def read_json_object(path, what: str) -> dict:
     return raw
 
 
-def read_report(path) -> dict:
-    return read_json_object(path, "report")
-
-
 def write_detection_report(path, result: DetectionResult, config: dict) -> None:
     """Write a detection result and the configuration that produced it."""
     cell = None
@@ -269,7 +265,7 @@ def write_detection_report(path, result: DetectionResult, config: dict) -> None:
 
 def read_detection_report(path) -> DetectionResult:
     """Parse a report written by `write_detection_report`."""
-    payload = read_report(path)
+    payload = read_json_object(path, "report")
     try:
         cell = payload["cell_id"]
         cell_id = None if cell is None else CellId(n1=cell["n1"], n2=cell["n2"])

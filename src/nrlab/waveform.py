@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+from functools import lru_cache
 
 import numpy as np
 
@@ -24,10 +25,17 @@ def ssb_layout(cell: int) -> dict[str, np.ndarray]:
     """Boolean occupancy masks of one SSB for each signal class.
 
     The DM-RS comb offset is cell mod 4; PBCH data cells are the PBCH region
-    minus the DM-RS comb. Masks share the 4 x 240 grid shape.
+    minus the DM-RS comb. Masks share the 4 x 240 grid shape. They are built
+    once per comb offset and are read-only; each call returns a new dict.
     """
     if not 0 <= cell <= 1007:
         raise ValueError(f"cell must be in 0..1007, got {cell}")
+    return dict(_layout_masks(cell % 4))
+
+
+@lru_cache(maxsize=4)
+def _layout_masks(comb_offset: int) -> dict[str, np.ndarray]:
+    """The read-only masks behind ssb_layout for one DM-RS comb offset."""
     shape = (N_SSB_SYMBOLS, N_SSB_SUBCARRIERS)
     sync = slice(SYNC_FIRST_SUBCARRIER, SYNC_FIRST_SUBCARRIER + SYNC_SEQ_LEN)
 
@@ -43,12 +51,15 @@ def ssb_layout(cell: int) -> dict[str, np.ndarray]:
     region[2, 192:] = True
 
     dmrs = np.zeros(shape, dtype=bool)
-    comb = np.arange(cell % 4, N_SSB_SUBCARRIERS, 4)
+    comb = np.arange(comb_offset, N_SSB_SUBCARRIERS, 4)
     dmrs[1, comb] = True
     dmrs[3, comb] = True
     dmrs[2, comb[(comb < 48) | (comb >= 192)]] = True
 
-    return {"pss": pss, "sss": sss, "dmrs": dmrs, "pbch": region & ~dmrs}
+    masks = {"pss": pss, "sss": sss, "dmrs": dmrs, "pbch": region & ~dmrs}
+    for mask in masks.values():
+        mask.setflags(write=False)
+    return masks
 
 
 def map_ssb(cfg: SsbConfig) -> ResourceGrid:
@@ -109,10 +120,7 @@ def ofdm_demodulate(
     Raises:
         ValueError: fewer samples available than the requested symbols need.
     """
-    if params.fft_size < n_subcarriers:
-        raise ValueError(
-            f"fft_size {params.fft_size} smaller than requested width {n_subcarriers}"
-        )
+    bins = _subcarrier_bins(n_subcarriers, params.fft_size)
     x = capture.samples
     if symbol_start < 0:
         raise ValueError(f"symbol_start must be >= 0, got {symbol_start}")
@@ -125,9 +133,33 @@ def ofdm_demodulate(
             f"{symbol_start}, requested {n_symbols}"
         )
     seg = x[symbol_start:symbol_start + n_symbols * params.symbol_len]
+    return _demodulate_symbols(seg, params, n_symbols, bins)
+
+
+@lru_cache(maxsize=8)
+def _subcarrier_bins(n_subcarriers: int, fft_size: int) -> np.ndarray:
+    """Read-only transform bins of the centered subcarriers, as ofdm_modulate
+    places them.
+
+    Raises:
+        ValueError: the transform is narrower than the subcarriers.
+    """
+    if fft_size < n_subcarriers:
+        raise ValueError(
+            f"fft_size {fft_size} smaller than requested width {n_subcarriers}"
+        )
+    bins = (np.arange(n_subcarriers) - n_subcarriers // 2) % fft_size
+    bins.setflags(write=False)
+    return bins
+
+
+def _demodulate_symbols(
+    seg: np.ndarray, params: OfdmParams, n_symbols: int, bins: np.ndarray
+) -> ResourceGrid:
+    """Strip the CPs of n_symbols whole symbols, forward-transform them in
+    one call and keep the given bins."""
     sym = seg.reshape(n_symbols, params.symbol_len)[:, params.cp_len:]
     spectrum = np.fft.fft(sym, axis=1, norm="ortho")
-    bins = (np.arange(n_subcarriers) - n_subcarriers // 2) % params.fft_size
     return ResourceGrid(spectrum[:, bins])
 
 

@@ -5,11 +5,21 @@ nrlab.detector computes by overlap-save: every (sector, CFO bin) hypothesis
 correlates the whole capture against its own frequency-shifted replica, and
 peaks are picked with scipy.signal.find_peaks. The tests compare the
 library's scan against it.
+
+`allocating_pss_scan` is the overlap-save scan as it stood before it reused
+its buffers: fresh product, magnitude and comparison arrays per hypothesis.
+The library's scan must equal it exactly.
 """
 import numpy as np
 from scipy import signal
 
-from nrlab.detector import PssCandidate, _fractional_cfo, _pss_replicas
+from nrlab.detector import (
+    PssCandidate,
+    _fractional_cfo,
+    _pss_replica_spectra,
+    _pss_replicas,
+    _scan_block_len,
+)
 
 
 def reference_pss_scan(x, params, max_cfo_bins):
@@ -30,6 +40,35 @@ def reference_pss_scan(x, params, max_cfo_bins):
             better = m > metric
             metric[better] = m[better]
             k_best[better] = k
+        yield metric, k_best
+
+
+def allocating_pss_scan(x, params, max_cfo_bins):
+    """Yield (metric, winning CFO bin) per lag for sectors n2 = 0, 1, 2."""
+    length = params.symbol_len
+    csum = np.concatenate(([0.0], np.cumsum(np.abs(x) ** 2)))
+    window_energy = csum[length:] - csum[:-length]
+    n_lags = x.size - length + 1
+
+    block = _scan_block_len(params)
+    step = block - length + 1
+    n_blocks = -(-n_lags // step)
+    padded = np.zeros((n_blocks - 1) * step + block, dtype=np.complex128)
+    padded[:x.size] = x
+    blocks = np.lib.stride_tricks.sliding_window_view(padded, block)[::step]
+    x_spec = np.fft.fft(blocks, axis=1)
+    bin_shift = block // params.fft_size
+
+    for base, spectrum in zip(_pss_replicas(params), _pss_replica_spectra(params)):
+        denom = np.sqrt(window_energy * float(np.sum(np.abs(base) ** 2)))
+        peak_corr = np.zeros(n_lags)
+        k_best = np.zeros(n_lags, dtype=np.int64)
+        for k in range(-max_cfo_bins, max_cfo_bins + 1):
+            corr = np.fft.ifft(x_spec * np.roll(spectrum, k * bin_shift), axis=1)
+            mag = np.abs(corr[:, :step]).reshape(-1)[:n_lags]
+            np.copyto(k_best, k, where=mag > peak_corr)
+            np.maximum(peak_corr, mag, out=peak_corr)
+        metric = np.divide(peak_corr, denom, out=np.zeros(n_lags), where=denom > 0)
         yield metric, k_best
 
 

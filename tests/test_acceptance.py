@@ -5,6 +5,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the verdict lines.
 import time
 
 import numpy as np
+import pytest
 from scipy import stats
 
 from nrlab import (
@@ -120,6 +121,7 @@ def test_criterion_2_fig8_round_trip():
     )
 
 
+@pytest.mark.slow
 def test_criterion_3_noise_robustness():
     start = time.monotonic()
 

@@ -9,7 +9,7 @@ import pytest
 
 import nrlab
 from nrlab.cli import EXIT_ERROR, EXIT_NO_FINDINGS, EXIT_OK, main
-from nrlab.io import read_report, read_sidecar, write_sweep_csv
+from nrlab.io import read_json_object, read_sidecar, write_sweep_csv
 from nrlab.sounding import FrequencySweep
 
 
@@ -29,7 +29,7 @@ class TestGenerate:
         report_path = tmp_path / "det.json"
         code = run("detect", "--in", cell3_capture, "--out", report_path)
         assert code == EXIT_OK
-        report = read_report(report_path)
+        report = read_json_object(report_path, "report")
         assert report["cell_id"]["cell"] == 3
         assert report["cell_id"] == {"n1": 1, "n2": 0, "cell": 3}
         assert len(report["bursts"]) == 8
@@ -70,7 +70,7 @@ class TestDetect:
         ) == EXIT_OK
         report_path = tmp_path / "det.json"
         assert run("detect", "--in", path, "--out", report_path) == EXIT_NO_FINDINGS
-        assert read_report(report_path)["bursts"] == []
+        assert read_json_object(report_path, "report")["bursts"] == []
 
     def test_truncated_iq_file_exit_1(self, tmp_path, cell3_capture):
         data = cell3_capture.read_bytes()
@@ -109,7 +109,7 @@ class TestExposure:
             "--rb-count", 100, "--duty", 0.75, "--out", out,
         )
         assert code == EXIT_OK
-        report = read_report(out)
+        report = read_json_object(out, "report")
         assert abs(report["per_signal_re_power_db"]["sss"]) <= 0.05
         assert report["extrapolated_power_db"] == pytest.approx(29.54, abs=0.01)
         assert report["target_check"]["mode"] == "conducted"
@@ -129,7 +129,7 @@ class TestExposure:
             "exposure", "--capture", cell3_capture, "--detection", det,
             "--config", cfg, "--out", out,
         ) == EXIT_OK
-        report = read_report(out)
+        report = read_json_object(out, "report")
         assert report["uncertainty"]["expanded_db"] > 0.5
         assert report["target_check"]["passed"] is False
 
@@ -237,7 +237,7 @@ class TestOtasim:
         out = tmp_path / "wc.json"
         assert run("otasim", "wireless-cable", "--ports", 4, "--seed", 3,
                    "--out", out) == EXIT_OK
-        report = read_report(out)
+        report = read_json_object(out, "report")
         assert report["isolation_db"] >= 30.0
         assert len(report["estimated_matrix"]) == 4
 
@@ -251,7 +251,7 @@ class TestOtasim:
     def test_rc_cancellation_demo(self, tmp_path):
         out = tmp_path / "rc.json"
         assert run("otasim", "rc", "--cancel-demo", "--out", out) == EXIT_OK
-        report = read_report(out)
+        report = read_json_object(out, "report")
         demo = report["cancellation"]
         assert demo["out_of_bin_before_db"] > -5.0
         assert demo["out_of_bin_after_db"] <= -20.0
@@ -306,7 +306,7 @@ class TestConfigangling:
     def test_effective_config_echoed(self, tmp_path, cell3_capture):
         report_path = tmp_path / "det.json"
         run("detect", "--in", cell3_capture, "--out", report_path, "--threshold", 0.4)
-        config = read_report(report_path)["config"]
+        config = read_json_object(report_path, "report")["config"]
         assert config["threshold"] == 0.4
         assert config["fft_size"] == 256  # defaults resolved into the echo
         assert config["mu"] == 1

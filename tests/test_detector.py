@@ -8,10 +8,10 @@ from nrlab import (
     CellId,
     IqCapture,
     OfdmParams,
+    ResourceGrid,
     SsbConfig,
     demodulate_burst,
     detect_pss,
-    detect_sss,
     enumerate_ssb_bursts,
     identify_ssb_index,
     map_ssb,
@@ -23,9 +23,15 @@ from nrlab.detector import (
     _fractional_cfo,
     _pss_replicas,
     _pss_scan,
+    _sss_from_grid,
 )
 from nrlab.otasim import awgn
-from pss_reference import reference_detect_pss
+from exposure_reference import (
+    reference_demodulate_burst,
+    reference_identify_ssb_index,
+    reference_sss_from_grid,
+)
+from pss_reference import allocating_pss_scan, reference_detect_pss
 
 
 def noise_capture(n, seed, sample_rate):
@@ -111,6 +117,13 @@ def bin_replicas(params, n2):
     return {k: base * np.exp(2j * np.pi * k * ramp) for k in range(-2, 3)}
 
 
+def assert_scans_equal(scans, want):
+    """Per sector, the same metric and winning-bin arrays, bit for bit."""
+    for (metric, k_best), (want_metric, want_k) in zip(scans, want, strict=True):
+        np.testing.assert_array_equal(metric, want_metric)
+        np.testing.assert_array_equal(k_best, want_k)
+
+
 def assert_matches_reference(capture, params, threshold=DEFAULT_PSS_THRESHOLD):
     """The scan finds what the direct fftconvolve scan finds: the same (n2,
     timing) list and winning CFO bins, metric and CFO within 1e-12.
@@ -119,11 +132,16 @@ def assert_matches_reference(capture, params, threshold=DEFAULT_PSS_THRESHOLD):
     correlates equally with the bins either side. Rounding decides such a
     tie in either scan, so there both bins must correlate within 1e-12 of
     the best, and the CFO must be the one refined from the bin the scan took.
+
+    The scan's (metric, winning bin) arrays must also equal, exactly, those
+    of the scan that allocates fresh arrays for every hypothesis.
     """
     cands = detect_pss(capture, params, threshold)
     ref = reference_detect_pss(capture, params, threshold)
     assert [(c.n2, c.timing) for c in cands] == [(r.n2, r.timing) for r, _ in ref]
-    k_best = [k for _, k in _pss_scan(capture.samples, params, 2)]
+    scans = list(_pss_scan(capture.samples, params, 2))
+    assert_scans_equal(scans, allocating_pss_scan(capture.samples, params, 2))
+    k_best = [k for _, k in scans]
     for c, (r, k_ref) in zip(cands, ref):
         cfo_ref = r.cfo
         k = int(k_best[c.n2][c.timing])
@@ -190,6 +208,24 @@ class TestPssScanReference:
         cands = assert_matches_reference(capture, params)
         assert [c.timing for c in cands] == [lead_in]
 
+    def test_cfo_bins_beyond_int8(self):
+        # At a 512-point FFT, a 130-bin CFO keeps the SSB inside the band, so
+        # bin 130 wins alone; the winning-bin array must hold it exactly.
+        p512 = OfdmParams(fft_size=512, cp_len=36)
+        cfg = SsbConfig(cell_id=CellId.from_cell(40))
+        capture = with_cfo(synthesize_bursts(cfg, p512, lead_in=3000, tail=2000),
+                           130 * p512.scs)
+        block, _ = scan_block_geometry(p512)
+        assert 1.5 * block < len(capture) < 2.5 * block
+        scans = list(_pss_scan(capture.samples, p512, 130))
+        assert_scans_equal(scans, allocating_pss_scan(capture.samples, p512, 130))
+        metric, k_best = scans[cfg.cell_id.n2]
+        assert int(np.argmax(metric)) == 3000
+        assert k_best[3000] == 130
+        best = max(detect_pss(capture, p512, max_cfo_bins=130), key=lambda c: c.metric)
+        assert best.timing == 3000
+        assert abs(best.cfo - 130 * p512.scs) < 0.05 * p512.scs
+
 
 class TestFindPeaks:
     @settings(max_examples=400, deadline=None)
@@ -206,18 +242,24 @@ class TestFindPeaks:
         np.testing.assert_array_equal(_find_peaks(padded, height / 4, distance), want)
 
 
+def sss_of(capture, cand, params):
+    """The SSS decision on the burst a PSS candidate starts."""
+    grid = demodulate_burst(capture, cand.timing, cand.cfo, params)
+    return _sss_from_grid(grid, cand.n2)
+
+
 class TestDetectSss:
     def test_cell3_scenario(self, params, burst_capture):
         capture = burst_capture(cell=3, lead_in=700)
         cand = detect_pss(capture, params)[0]
-        n1, metric = detect_sss(capture, cand, params)
+        n1, metric = sss_of(capture, cand, params)
         assert n1 == 1
         assert metric > 0.99
 
     def test_true_hypothesis_is_unique_argmax(self, params, burst_capture):
         capture = burst_capture(cell=500, lead_in=400)
         cand = detect_pss(capture, params)[0]
-        n1, metric = detect_sss(capture, cand, params)
+        n1, metric = sss_of(capture, cand, params)
         assert (n1, cand.n2) == (CellId.from_cell(500).n1, CellId.from_cell(500).n2)
         assert metric > 0.99
 
@@ -226,21 +268,16 @@ class TestDetectSss:
 
         capture = burst_capture(cell=3, lead_in=400)
         cand = detect_pss(capture, params)[0]
-        _, true_metric = detect_sss(capture, cand, params)
+        _, true_metric = sss_of(capture, cand, params)
         for wrong_n2 in set(range(3)) - {cand.n2}:
-            _, metric = detect_sss(
-                capture, dataclasses.replace(cand, n2=wrong_n2), params
-            )
+            _, metric = sss_of(capture, dataclasses.replace(cand, n2=wrong_n2), params)
             assert metric < true_metric
 
     def test_timing_outside_capture(self, params, burst_capture):
-        import dataclasses
-
         capture = burst_capture(cell=3, lead_in=400, tail=0)
         cand = detect_pss(capture, params)[0]
-        bad = dataclasses.replace(cand, timing=len(capture) - 10)
-        with pytest.raises(ValueError):
-            detect_sss(capture, bad, params)
+        with pytest.raises(ValueError, match="does not fit"):
+            demodulate_burst(capture, len(capture) - 10, cand.cfo, params)
 
 
 class TestResolveCellId:
@@ -357,3 +394,66 @@ class TestDemodulateBurst:
         grid = demodulate_burst(capture, 250, 0.0, params)
         want = map_ssb(SsbConfig(cell_id=CellId.from_cell(42)))
         assert np.max(np.abs(grid.data - want.data)) < 1e-9
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        at=st.floats(0.0, 1.0),
+        cfo_scs=st.one_of(st.sampled_from([0.0, -0.0, 0.5, -0.5]),
+                          st.floats(-3.0, 3.0, allow_subnormal=False)),
+        fft_size=st.sampled_from([256, 512]),
+    )
+    def test_matches_ofdm_demodulate(self, seed, at, cfo_scs, fft_size):
+        # Bit for bit, signed zeros included: a burst derotated and
+        # transformed in place equals one demodulated through its own capture.
+        p = OfdmParams(fft_size=fft_size, cp_len=fft_size // 16)
+        rng = np.random.default_rng(seed)
+        n = 4 * p.symbol_len + int(rng.integers(0, 600))
+        capture = IqCapture(rng.standard_normal(n) + 1j * rng.standard_normal(n),
+                            p.sample_rate)
+        timing = round(at * (n - 4 * p.symbol_len))
+        cfo = cfo_scs * p.scs
+        got = demodulate_burst(capture, timing, cfo, p).data
+        want = reference_demodulate_burst(capture, timing, cfo, p).data
+        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("cfo", [np.nan, np.inf])
+    def test_non_finite_cfo_rejected(self, cfo, params, burst_capture):
+        with pytest.raises(ValueError, match="finite"):
+            demodulate_burst(burst_capture(), 300, cfo, params)
+
+    def test_fft_narrower_than_ssb_rejected(self):
+        p128 = OfdmParams(fft_size=128, cp_len=9)
+        capture = IqCapture(np.ones(4 * p128.symbol_len), p128.sample_rate)
+        with pytest.raises(ValueError, match="smaller than"):
+            demodulate_burst(capture, 0, 0.0, p128)
+
+
+class TestBanks:
+    """The cached SSS and DM-RS banks decide exactly as the direct products."""
+
+    @pytest.mark.parametrize("n2", [0, 1, 2])
+    def test_sss_equals_real_bank_product(self, n2, params, burst_capture):
+        rng = np.random.default_rng(n2)
+        grids = [map_ssb(SsbConfig(cell_id=CellId(n1=n1, n2=n2))) for n1 in (0, 17, 335)]
+        noisy = burst_capture(cell=300 + n2, snr_db=-3.0, seed=n2)
+        grids.append(demodulate_burst(noisy, 300, 0.0, params))
+        grids += [ResourceGrid(rng.standard_normal((4, 240))
+                               + 1j * rng.standard_normal((4, 240))) for _ in range(20)]
+        grids.append(ResourceGrid(np.zeros((4, 240))))
+        for grid in grids:
+            assert _sss_from_grid(grid, n2) == reference_sss_from_grid(grid, n2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(cell=st.integers(0, 1007), i_bar=st.integers(0, 7),
+           seed=st.integers(0, 2**32 - 1), noise=st.floats(0.0, 3.0))
+    def test_decisions_equal_direct_products(self, cell, i_bar, seed, noise):
+        cid = CellId.from_cell(cell)
+        rng = np.random.default_rng(seed)
+        data = map_ssb(SsbConfig(cell_id=cid, i_ssb_bar=i_bar)).data
+        data = data + noise * (rng.standard_normal(data.shape)
+                               + 1j * rng.standard_normal(data.shape))
+        grid = ResourceGrid(data)
+        assert identify_ssb_index(grid, cid) == reference_identify_ssb_index(grid, cid)
+        assert _sss_from_grid(grid, cid.n2) == reference_sss_from_grid(grid, cid.n2)

@@ -17,6 +17,7 @@ from nrlab import (
 )
 from nrlab.detector import DetectionResult, SsbBurst
 from nrlab.exposure import SIGNAL_CLASSES, build_report
+from exposure_reference import reference_code_selective_power
 
 
 def detection_for(cell: int, i_ssb_bar: int = 0) -> DetectionResult:
@@ -80,6 +81,52 @@ class TestCodeSelectivePower:
             code_selective_power(
                 grid, DetectionResult(cell_id=CellId.from_cell(3), bursts=[])
             )
+
+
+class TestDespreadTable:
+    """The per-cell table gives exactly what mapping the reference SSB per
+    call gives, and no caller can change what it holds."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        cell=st.integers(0, 1007),
+        i_ssb_bar=st.integers(0, 7),
+        seed=st.integers(0, 2**32 - 1),
+        zero_rows=st.sets(st.integers(0, 3)),
+        signal=st.floats(0.0, 4.0),
+    )
+    def test_matches_per_call_reference(self, cell, i_ssb_bar, seed, zero_rows, signal):
+        rng = np.random.default_rng(seed)
+        data = signal * map_ssb(SsbConfig(cell_id=CellId.from_cell(cell),
+                                          i_ssb_bar=i_ssb_bar)).data
+        data = data + rng.standard_normal((4, 240)) + 1j * rng.standard_normal((4, 240))
+        data[sorted(zero_rows)] = 0.0
+        grid = ResourceGrid(data)
+        detection = detection_for(cell, i_ssb_bar)
+        assert code_selective_power(grid, detection) == reference_code_selective_power(
+            grid, detection
+        )
+
+    def test_caller_mutation_does_not_reach_the_table(self):
+        detection = detection_for(212, 6)
+        first = map_ssb(SsbConfig(cell_id=CellId.from_cell(212), i_ssb_bar=6))
+        want = code_selective_power(first, detection)
+        first.data[:] = 0.0
+        first.data[1, ::3] = 5.0 - 2.0j
+        again = map_ssb(SsbConfig(cell_id=CellId.from_cell(212), i_ssb_bar=6))
+        assert code_selective_power(again, detection) == want
+        assert code_selective_power(first, detection) == reference_code_selective_power(
+            first, detection
+        )
+
+    def test_every_index_of_a_cell_and_the_next_cell(self):
+        for cell in (5, 6):
+            for i_bar in range(8):
+                grid = map_ssb(SsbConfig(cell_id=CellId.from_cell(cell), i_ssb_bar=i_bar))
+                detection = detection_for(cell, i_bar)
+                got = code_selective_power(grid, detection)
+                assert got == reference_code_selective_power(grid, detection)
+                assert all(abs(p - 1.0) < 1e-12 for p in got.values())
 
 
 class TestExtrapolate:

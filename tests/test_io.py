@@ -9,7 +9,7 @@ from nrlab.io import (
     read_capture,
     read_detection_report,
     read_geometry,
-    read_report,
+    read_json_object,
     read_sidecar,
     read_sweep_csv,
     sidecar_path,
@@ -217,4 +217,4 @@ class TestReports:
         path = tmp_path / "report.json"
         path.write_text("[1, 2, 3]")
         with pytest.raises(ValueError):
-            read_report(path)
+            read_json_object(path, "report")

@@ -39,8 +39,35 @@ class TestLayout:
         cols0 = np.flatnonzero(ssb_layout(4)["dmrs"][1])
         assert np.all(cols0 % 4 == 0)
 
+    def test_masks_read_only(self):
+        layout = ssb_layout(5)
+        for mask in layout.values():
+            with pytest.raises(ValueError):
+                mask[0, 0] = not mask[0, 0]
+
+    def test_each_call_returns_a_new_dict(self):
+        first = ssb_layout(9)
+        assert ssb_layout(9) is not first
+        first["pss"] = np.ones((4, 240), dtype=bool)
+        del first["dmrs"]
+        again = ssb_layout(9)
+        assert sorted(again) == ["dmrs", "pbch", "pss", "sss"]
+        assert int(again["pss"].sum()) == 127
+
+    @pytest.mark.parametrize("cell", [-1, 1008])
+    def test_range_check(self, cell):
+        with pytest.raises(ValueError):
+            ssb_layout(cell)
+
 
 class TestMapSsb:
+    def test_data_fresh_and_writable(self):
+        cfg = SsbConfig(cell_id=CellId.from_cell(3))
+        grid = map_ssb(cfg)
+        assert grid.data.flags.writeable
+        grid.data[:] = 0.0
+        assert int(np.count_nonzero(map_ssb(cfg).data)) == 830
+
     def test_dimensions_and_empty_cells(self):
         grid = map_ssb(SsbConfig(cell_id=CellId.from_cell(3)))
         assert grid.data.shape == (4, 240)
