@@ -2,11 +2,17 @@
 
 The PSS search is a normalized replica correlation computed by overlap-save:
 the capture is cut into overlapping blocks whose length is a multiple of the
-FFT size and transformed once. Each sector's replica has one block spectrum,
-and an integer-bin CFO hypothesis is that spectrum rolled by whole bins, so a
-(sector, CFO bin) hypothesis costs one inverse transform. The winning bin is
-refined by the phase slope between the two halves of the matched symbol.
-All hypotheses share one set of product, magnitude and comparison buffers.
+FFT size. Each sector's replica has one block spectrum, and an integer-bin
+CFO hypothesis is that spectrum rolled by whole bins, so a (sector, CFO bin)
+hypothesis costs one inverse transform. The blocks are streamed in groups of
+_SCAN_GROUP: each group is transformed once, its window energies continue a
+running |x|^2 sum carried from the group before, and all hypotheses share one
+set of group-sized product, magnitude and comparison buffers. Of each group's
+lags only the runs at or above the threshold, with a neighbour either side,
+are kept for peak picking, so the scan's memory is bounded by the group, not
+the capture. The winning bin is refined by the phase slope between the two
+halves of the matched symbol, against a bin-shifted replica cached per
+sector and bin.
 Each burst is then demodulated once, its 4 symbols derotated and transformed
 in one call, and its grid feeds the frequency-domain matched correlations of
 the SSS and DM-RS stages against hypothesis banks cached per sector and cell.
@@ -37,6 +43,11 @@ from .waveform import _demodulate_symbols, _subcarrier_bins, ofdm_modulate, ssb_
 # while a matched burst at -6 dB SNR still scores ~0.45.
 DEFAULT_PSS_THRESHOLD = 0.35
 DEFAULT_MAX_CFO_BINS = 2
+
+# Overlap-save blocks per PSS scan group. At the default numerology the scan
+# then peaks at about 3.3 MB of traced memory, whatever the capture length.
+# Smaller groups pay Python overhead per group and hypothesis.
+_SCAN_GROUP = 16
 
 
 @dataclass(frozen=True)
@@ -140,13 +151,21 @@ def _pss_replica_spectra(params: OfdmParams) -> np.ndarray:
     return spectra
 
 
-def _find_peaks(x: np.ndarray, height: float, distance: int) -> np.ndarray:
-    """Indices of local maxima of `x` that reach `height`, `distance` apart.
+def _find_peaks(
+    x: np.ndarray, lags: np.ndarray, height: float, distance: int
+) -> np.ndarray:
+    """Indices of the local maxima of `x` that reach `height`, `distance` lags apart.
+
+    `lags` holds the lag of each sample, increasing. It may skip: `x` may be
+    runs cut from a longer array and joined in order, provided every sample
+    that reaches `height` comes with both its neighbours. The peaks that
+    reach `height` are then those of the whole array.
 
     A flat-topped maximum counts once, at the middle of its plateau (rounded
     down), and the first and last samples are never peaks. Of peaks closer
-    than `distance`, the highest is kept and its neighbours dropped, highest
-    first; equal heights are taken in the order of a default np.argsort.
+    than `distance` lags, the highest is kept and its neighbours dropped,
+    highest first; equal heights are taken in the order of a default
+    np.argsort.
     """
     dx = np.diff(x)
     steps = np.flatnonzero(dx)
@@ -154,60 +173,121 @@ def _find_peaks(x: np.ndarray, height: float, distance: int) -> np.ndarray:
     tops = np.flatnonzero(rising[:-1] & ~rising[1:])
     peaks = (steps[tops] + 1 + steps[tops + 1]) // 2
     peaks = peaks[x[peaks] >= height]
+    at = lags[peaks]
     keep = np.ones(peaks.size, dtype=bool)
     for j in np.argsort(x[peaks])[::-1]:
         if not keep[j]:
             continue
-        lo = np.searchsorted(peaks, peaks[j] - distance, side="right")
-        hi = np.searchsorted(peaks, peaks[j] + distance, side="left")
+        lo = np.searchsorted(at, at[j] - distance, side="right")
+        hi = np.searchsorted(at, at[j] + distance, side="left")
         keep[lo:hi] = False
         keep[j] = True
     return peaks[keep]
 
 
-def _pss_scan(x: np.ndarray, params: OfdmParams, max_cfo_bins: int):
-    """Yield (metric, winning CFO bin) per lag for sectors n2 = 0, 1, 2.
+def _kept_lags(metric: np.ndarray, threshold: float) -> np.ndarray:
+    """Mask of the lags of one scan group that peak picking needs.
+
+    These are the runs with metric >= threshold, one neighbour either side
+    of each run, and the group's first and last lag, which are the
+    neighbours of runs that cross into the adjacent groups.
+    """
+    above = metric >= threshold
+    keep = above.copy()
+    keep[1:] |= above[:-1]
+    keep[:-1] |= above[1:]
+    keep[0] = keep[-1] = True
+    return keep
+
+
+def _pss_scan(
+    x: np.ndarray, params: OfdmParams, max_cfo_bins: int, threshold: float
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(lags, metric, winning CFO bin) of the lags that peak picking needs,
+    for sectors n2 = 0, 1, 2.
 
     The metric at lag t is |sum_j x[t+j] conj(r[j])| / (|x[t:t+len]| |r|),
     maximized over the replicas r of the sector shifted by integer CFO bins;
-    zero-energy windows score 0. It is computed by overlap-save, as the
-    module docstring describes. Of bins that tie on a lag, the first
-    (most negative) wins.
+    zero-energy windows score 0. Of bins that tie on a lag, the first
+    (most negative) wins. It is computed by overlap-save, as the module
+    docstring describes, _SCAN_GROUP blocks at a time; of each group's lags
+    only those that `_kept_lags` marks are returned.
     """
     length = params.symbol_len
-    csum = np.concatenate(([0.0], np.cumsum(np.abs(x) ** 2)))
-    window_energy = csum[length:] - csum[:-length]
     n_lags = x.size - length + 1
 
     # Block b holds x[b*step : b*step + block]; its first `step` circular
     # correlation lags are free of wrap-around and are lags b*step + t.
+    # Only the last block can reach past the capture.
     block = _scan_block_len(params)
     step = block - length + 1
     n_blocks = -(-n_lags // step)
-    padded = np.zeros((n_blocks - 1) * step + block, dtype=np.complex128)
-    padded[:x.size] = x
-    blocks = np.lib.stride_tricks.sliding_window_view(padded, block)[::step]
-    x_spec = np.fft.fft(blocks, axis=1)
     bin_shift = block // params.fft_size
+    replicas = _pss_replicas(params)
+    ref_energy = [float(np.sum(np.abs(base) ** 2)) for base in replicas]
 
-    # Buffers shared by every hypothesis. The inverse transform still
-    # allocates its output: np.fft takes no out= before numpy 2.0.
-    prod = np.empty_like(x_spec)
-    block_mag = np.empty((n_blocks, step))
-    mag = block_mag.reshape(-1)[:n_lags]
-    better = np.empty(n_lags, dtype=bool)
-    for base, spectrum in zip(_pss_replicas(params), _pss_replica_spectra(params)):
-        denom = np.sqrt(window_energy * float(np.sum(np.abs(base) ** 2)))
-        peak_corr = np.zeros(n_lags)
-        k_best = np.zeros(n_lags, dtype=np.int64)
-        for k in range(-max_cfo_bins, max_cfo_bins + 1):
-            np.multiply(x_spec, np.roll(spectrum, k * bin_shift), out=prod)
-            np.abs(np.fft.ifft(prod, axis=1)[:, :step], out=block_mag)
-            np.greater(mag, peak_corr, out=better)
-            np.putmask(k_best, better, k)
-            np.maximum(peak_corr, mag, out=peak_corr)
-        metric = np.divide(peak_corr, denom, out=np.zeros(n_lags), where=denom > 0)
-        yield metric, k_best
+    # Buffers shared by every group and hypothesis. The inverse transform
+    # still allocates its output: np.fft takes no out= before numpy 2.0.
+    group = min(_SCAN_GROUP, n_blocks)
+    prod_buf = np.empty((group, block), dtype=np.complex128)
+    mag_buf = np.empty((group, step))
+    peak_buf = np.empty(group * step)
+    k_buf = np.empty(group * step, dtype=np.int64)
+    better_buf = np.empty(group * step, dtype=bool)
+    metric_buf = np.empty(group * step)
+
+    kept: list[list[tuple[np.ndarray, ...]]] = [[], [], []]
+    carry = 0.0  # sum of |x|^2 before the group's first lag
+    for b0 in range(0, n_blocks, group):
+        n_b = min(group, n_blocks - b0)
+        lo = b0 * step
+        n = min(n_b * step, n_lags - lo)  # the group's lags are lo..lo+n-1
+        width = (n_b - 1) * step + block
+        span = x[lo:lo + width]
+        if span.size < width:
+            span = np.concatenate((span, np.zeros(width - span.size)))
+        x_spec = np.fft.fft(
+            np.lib.stride_tricks.sliding_window_view(span, block)[::step], axis=1
+        )
+
+        # Running sum seeded with the carry: the same sequential additions,
+        # so the same values, as one cumsum over the whole capture.
+        csum = np.empty(n + length)
+        csum[0] = carry
+        csum[1:] = np.abs(x[lo:lo + n + length - 1]) ** 2
+        np.cumsum(csum, out=csum)
+        carry = csum[n]
+        window_energy = csum[length:] - csum[:-length]
+
+        prod = prod_buf[:n_b]
+        block_mag = mag_buf[:n_b]
+        mag = block_mag.reshape(-1)[:n]
+        peak_corr, k_best = peak_buf[:n], k_buf[:n]
+        better, metric = better_buf[:n], metric_buf[:n]
+        for n2, spectrum in enumerate(_pss_replica_spectra(params)):
+            peak_corr.fill(0.0)
+            k_best.fill(0)
+            for k in range(-max_cfo_bins, max_cfo_bins + 1):
+                np.multiply(x_spec, np.roll(spectrum, k * bin_shift), out=prod)
+                np.abs(np.fft.ifft(prod, axis=1)[:, :step], out=block_mag)
+                np.greater(mag, peak_corr, out=better)
+                np.putmask(k_best, better, k)
+                np.maximum(peak_corr, mag, out=peak_corr)
+            denom = np.sqrt(window_energy * ref_energy[n2])
+            metric.fill(0.0)
+            np.divide(peak_corr, denom, out=metric, where=denom > 0)
+            idx = np.flatnonzero(_kept_lags(metric, threshold))
+            kept[n2].append((lo + idx, metric[idx], k_best[idx]))
+    return [tuple(np.concatenate(parts) for parts in zip(*runs)) for runs in kept]
+
+
+@lru_cache(maxsize=32)
+def _bin_replica(params: OfdmParams, n2: int, k: int) -> np.ndarray:
+    """Sector n2's PSS replica shifted by integer CFO bin k, read-only."""
+    ramp = np.arange(params.symbol_len) / params.fft_size
+    rep = _pss_replicas(params)[n2] * np.exp(2j * np.pi * k * ramp)
+    rep.setflags(write=False)
+    return rep
 
 
 def detect_pss(
@@ -224,6 +304,12 @@ def detect_pss(
     become candidates. The reported CFO is the winning integer hypothesis
     plus the fractional refinement, in Hz.
 
+    The capture is scanned in groups of _SCAN_GROUP overlap-save blocks,
+    and each group keeps only the runs of lags at or above the threshold,
+    with their neighbours. The scan's working memory is therefore bounded
+    by the group, not the capture: beyond the capture itself, it grows only
+    with the number of kept lags.
+
     Returns:
         Candidates sorted by timing, then descending metric.
     """
@@ -237,27 +323,42 @@ def detect_pss(
         raise ValueError(
             f"capture of {x.size} samples shorter than one OFDM symbol ({length})"
         )
-    replicas = _pss_replicas(params)
-    ramp = np.arange(length) / params.fft_size
+    n_lags = x.size - length + 1
     candidates: list[PssCandidate] = []
-    for n2, (metric, k_best) in enumerate(_pss_scan(x, params, max_cfo_bins)):
-        # pad so maxima at the capture edges are still local peaks
-        padded = np.concatenate(([-1.0], metric, [-1.0]))
-        for p in _find_peaks(padded, threshold, length):
-            lag = int(p - 1)
-            k = int(k_best[lag])
-            rep_k = replicas[n2] * np.exp(2j * np.pi * k * ramp)
-            frac = _fractional_cfo(x[lag:lag + length], rep_k, params.fft_size)
+    for n2, (lags, metric, k_best) in enumerate(
+        _pss_scan(x, params, max_cfo_bins, threshold)
+    ):
+        # sentinels either side, so maxima at the capture edges are still
+        # local peaks
+        for i in _find_peaks(
+            np.concatenate(([-1.0], metric, [-1.0])),
+            np.concatenate(([-1], lags, [n_lags])),
+            threshold,
+            length,
+        ):
+            lag, k = int(lags[i - 1]), int(k_best[i - 1])
+            frac = _fractional_cfo(
+                x[lag:lag + length], _bin_replica(params, n2, k), params.fft_size
+            )
             candidates.append(
                 PssCandidate(
                     n2=n2,
                     timing=lag,
                     cfo=(k + frac) * params.scs,
-                    metric=float(metric[lag]),
+                    metric=float(metric[i - 1]),
                 )
             )
     candidates.sort(key=lambda c: (c.timing, -c.metric, c.n2))
     return candidates
+
+
+@lru_cache(maxsize=16, typed=True)
+def _derotation(cfo_hz: float, sample_rate: float, length: int) -> np.ndarray:
+    """The CFO-correcting phasor of `length` samples, read-only."""
+    n = np.arange(length)
+    phasor = np.exp(-2j * np.pi * cfo_hz / sample_rate * n)
+    phasor.setflags(write=False)
+    return phasor
 
 
 def demodulate_burst(
@@ -266,7 +367,8 @@ def demodulate_burst(
     """CFO-correct and demodulate one SSB (4 symbols) starting at `timing`.
 
     The derotated samples go straight to ofdm_demodulate's symbol transform,
-    with the SSB's subcarrier bins cached per FFT size.
+    with the SSB's subcarrier bins cached per FFT size and the derotation
+    phasor cached per CFO.
 
     Raises:
         ValueError: the burst does not fit in the capture, the CFO is not
@@ -281,9 +383,8 @@ def demodulate_burst(
     if not np.isfinite(cfo_hz):
         raise ValueError(f"cfo_hz must be finite, got {cfo_hz}")
     bins = _subcarrier_bins(N_SSB_SUBCARRIERS, params.fft_size)
-    n = np.arange(length)
-    derotated = x[timing:timing + length] * np.exp(
-        -2j * np.pi * cfo_hz / params.sample_rate * n
+    derotated = x[timing:timing + length] * _derotation(
+        cfo_hz, params.sample_rate, length
     )
     return _demodulate_symbols(derotated, params, N_SSB_SYMBOLS, bins)
 

@@ -172,15 +172,20 @@ def write_pdp_csv(path, pdp: Pdp) -> None:
 
 
 def write_aoa_csv(path, profile: AoaDelayProfile) -> None:
-    """Angle-by-delay matrix: first column angle_deg, one column per delay bin."""
+    """Angle-by-delay matrix: first column angle_deg, one column per delay bin.
+
+    Powers are written with 2 decimals and NaN (a masked cell) as an empty
+    cell; lines end in CRLF, as csv.writer ends them.
+    """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["angle_deg"] + [repr(float(d)) for d in profile.delays])
-        for a in range(profile.angles_deg.size):
-            row = [repr(float(profile.angles_deg[a]))]
-            for p in profile.power_db[a]:
-                row.append("" if np.isnan(p) else f"{float(p):.2f}")
-            writer.writerow(row)
+        # One format op per row; "%.2f" spells every NaN "nan", and no other
+        # value contains that string.
+        cells = ",%.2f" * profile.power_db.shape[1]
+        for angle, row in zip(profile.angles_deg.tolist(), profile.power_db):
+            line = cells % tuple(row.tolist())
+            fh.write(f"{float(angle)!r}{line.replace('nan', '')}\r\n")
 
 
 def read_geometry(path) -> tuple[np.ndarray, AntennaPattern | None]:

@@ -1,20 +1,23 @@
-"""Reference PSS scan: one full-length scipy.signal.fftconvolve per hypothesis.
+"""Reference PSS scans: whole-capture forms of the scan in nrlab.detector.
 
-This is the direct form of the sliding replica correlation that
-nrlab.detector computes by overlap-save: every (sector, CFO bin) hypothesis
-correlates the whole capture against its own frequency-shifted replica, and
-peaks are picked with scipy.signal.find_peaks. The tests compare the
-library's scan against it.
+`reference_pss_scan` is the direct form of the sliding replica correlation
+that nrlab.detector computes by overlap-save: every (sector, CFO bin)
+hypothesis correlates the whole capture against its own frequency-shifted
+replica, and peaks are picked with scipy.signal.find_peaks.
 
-`allocating_pss_scan` is the overlap-save scan as it stood before it reused
-its buffers: fresh product, magnitude and comparison arrays per hypothesis.
-The library's scan must equal it exactly.
+`allocating_pss_scan` is the overlap-save scan as it stood before it was
+streamed through groups of blocks and before it reused its buffers: one
+transform of the whole capture, one cumsum of its energy, and fresh product,
+magnitude and comparison arrays for every hypothesis. `allocating_detect_pss`
+picks its peaks with `_find_peaks` on each sector's whole metric array; the
+library's candidates must equal its candidates exactly.
 """
 import numpy as np
 from scipy import signal
 
 from nrlab.detector import (
     PssCandidate,
+    _find_peaks,
     _fractional_cfo,
     _pss_replica_spectra,
     _pss_replicas,
@@ -72,21 +75,18 @@ def allocating_pss_scan(x, params, max_cfo_bins):
         yield metric, k_best
 
 
-def reference_detect_pss(capture, params, threshold, max_cfo_bins=2):
-    """Candidates of the reference scan with their winning CFO bins.
-
-    Returns:
-        (candidate, bin) pairs in detect_pss's order.
-    """
+def _candidates(capture, params, scans, pick):
+    """(candidate, bin) pairs in detect_pss's order, from each sector's
+    whole-capture (metric, winning bin) arrays; `pick` gives the peak indices
+    of a metric array padded with -1 at both ends."""
     x = capture.samples
     length = params.symbol_len
     replicas = _pss_replicas(params)
     ramp = np.arange(length) / params.fft_size
     found = []
-    for n2, (metric, k_best) in enumerate(reference_pss_scan(x, params, max_cfo_bins)):
+    for n2, (metric, k_best) in enumerate(scans):
         padded = np.concatenate(([-1.0], metric, [-1.0]))
-        peaks, _ = signal.find_peaks(padded, height=threshold, distance=length)
-        for p in peaks:
+        for p in pick(padded):
             lag = int(p - 1)
             k = int(k_best[lag])
             rep_k = replicas[n2] * np.exp(2j * np.pi * k * ramp)
@@ -97,3 +97,22 @@ def reference_detect_pss(capture, params, threshold, max_cfo_bins=2):
             found.append((cand, k))
     found.sort(key=lambda ck: (ck[0].timing, -ck[0].metric, ck[0].n2))
     return found
+
+
+def reference_detect_pss(capture, params, threshold, max_cfo_bins=2):
+    """Candidates of the direct scan with their winning CFO bins.
+
+    Returns:
+        (candidate, bin) pairs in detect_pss's order.
+    """
+    scans = reference_pss_scan(capture.samples, params, max_cfo_bins)
+    return _candidates(capture, params, scans, lambda padded: signal.find_peaks(
+        padded, height=threshold, distance=params.symbol_len)[0])
+
+
+def allocating_detect_pss(capture, params, threshold, max_cfo_bins=2):
+    """Candidates of the whole-capture overlap-save scan with their winning
+    CFO bins, as (candidate, bin) pairs in detect_pss's order."""
+    scans = allocating_pss_scan(capture.samples, params, max_cfo_bins)
+    return _candidates(capture, params, scans, lambda padded: _find_peaks(
+        padded, np.arange(padded.size), threshold, params.symbol_len))

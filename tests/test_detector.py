@@ -1,3 +1,6 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,12 +20,14 @@ from nrlab import (
     map_ssb,
     synthesize_bursts,
 )
+from nrlab import detector
 from nrlab.detector import (
     DEFAULT_PSS_THRESHOLD,
+    _SCAN_GROUP,
     _find_peaks,
     _fractional_cfo,
+    _kept_lags,
     _pss_replicas,
-    _pss_scan,
     _sss_from_grid,
 )
 from nrlab.otasim import awgn
@@ -31,7 +36,7 @@ from exposure_reference import (
     reference_identify_ssb_index,
     reference_sss_from_grid,
 )
-from pss_reference import allocating_pss_scan, reference_detect_pss
+from pss_reference import allocating_detect_pss, reference_detect_pss
 
 
 def noise_capture(n, seed, sample_rate):
@@ -81,6 +86,22 @@ class TestDetectPss:
         assert best.timing == 1000
         assert abs(best.cfo - cfo_true) < 0.05 * params.scs
 
+    def test_memory_bounded_by_scan_group(self, params):
+        # A whole-capture scan holds ~140 bytes per sample (~60 MB more at
+        # 8x). The grouped scan's peak may differ by its last group's
+        # zero-padded copy (~0.5 MB) and the kept lags.
+        peaks = []
+        for n in (60_000, 480_000):
+            capture = noise_capture(n, 5, params.sample_rate)
+            detect_pss(capture, params)  # fill the replica caches untraced
+            tracemalloc.start()
+            try:
+                detect_pss(capture, params)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[0] + 1_000_000, peaks
+
     def test_empty_capture_rejected(self, params):
         with pytest.raises(ValueError):
             detect_pss(IqCapture(np.zeros(0), params.sample_rate), params)
@@ -117,11 +138,22 @@ def bin_replicas(params, n2):
     return {k: base * np.exp(2j * np.pi * k * ramp) for k in range(-2, 3)}
 
 
-def assert_scans_equal(scans, want):
-    """Per sector, the same metric and winning-bin arrays, bit for bit."""
-    for (metric, k_best), (want_metric, want_k) in zip(scans, want, strict=True):
-        np.testing.assert_array_equal(metric, want_metric)
-        np.testing.assert_array_equal(k_best, want_k)
+def exact(cands):
+    """Candidates as comparable tuples that tell apart every bit of a float."""
+    return [(c.n2, c.timing, c.cfo.hex(), c.metric.hex()) for c in cands]
+
+
+def assert_matches_whole_scan(capture, params, threshold=DEFAULT_PSS_THRESHOLD,
+                              max_cfo_bins=2):
+    """detect_pss returns exactly the candidates of the whole-capture scan,
+    whatever the number of blocks per scan group; returns that scan's
+    (candidate, bin) pairs."""
+    want = allocating_detect_pss(capture, params, threshold, max_cfo_bins)
+    for group in sorted({1, 3, _SCAN_GROUP}):
+        with mock.patch.object(detector, "_SCAN_GROUP", group):
+            cands = detect_pss(capture, params, threshold, max_cfo_bins)
+        assert exact(cands) == exact(c for c, _ in want), group
+    return want
 
 
 def assert_matches_reference(capture, params, threshold=DEFAULT_PSS_THRESHOLD):
@@ -133,18 +165,15 @@ def assert_matches_reference(capture, params, threshold=DEFAULT_PSS_THRESHOLD):
     tie in either scan, so there both bins must correlate within 1e-12 of
     the best, and the CFO must be the one refined from the bin the scan took.
 
-    The scan's (metric, winning bin) arrays must also equal, exactly, those
-    of the scan that allocates fresh arrays for every hypothesis.
+    The candidates must also equal, exactly, those of the whole-capture
+    overlap-save scan that allocates fresh arrays for every hypothesis.
     """
     cands = detect_pss(capture, params, threshold)
     ref = reference_detect_pss(capture, params, threshold)
     assert [(c.n2, c.timing) for c in cands] == [(r.n2, r.timing) for r, _ in ref]
-    scans = list(_pss_scan(capture.samples, params, 2))
-    assert_scans_equal(scans, allocating_pss_scan(capture.samples, params, 2))
-    k_best = [k for _, k in scans]
-    for c, (r, k_ref) in zip(cands, ref):
+    whole = assert_matches_whole_scan(capture, params, threshold)
+    for c, (_, k), (r, k_ref) in zip(cands, whole, ref):
         cfo_ref = r.cfo
-        k = int(k_best[c.n2][c.timing])
         if k != k_ref:
             segment = capture.samples[c.timing:c.timing + params.symbol_len]
             reps = bin_replicas(params, c.n2)
@@ -208,22 +237,29 @@ class TestPssScanReference:
         cands = assert_matches_reference(capture, params)
         assert [c.timing for c in cands] == [lead_in]
 
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_pss_straddling_group_boundary_found_once(self, offset, params,
+                                                      burst_capture):
+        # The PSS starts `offset` samples before the first lag of the second
+        # scan group.
+        _, step = scan_block_geometry(params)
+        lead_in = _SCAN_GROUP * step - offset
+        capture = burst_capture(cell=11, lead_in=lead_in, tail=3000)
+        cands = assert_matches_reference(capture, params)
+        assert [c.timing for c in cands] == [lead_in]
+
     def test_cfo_bins_beyond_int8(self):
         # At a 512-point FFT, a 130-bin CFO keeps the SSB inside the band, so
-        # bin 130 wins alone; the winning-bin array must hold it exactly.
+        # bin 130 wins alone; the winning bin must be held exactly.
         p512 = OfdmParams(fft_size=512, cp_len=36)
         cfg = SsbConfig(cell_id=CellId.from_cell(40))
         capture = with_cfo(synthesize_bursts(cfg, p512, lead_in=3000, tail=2000),
                            130 * p512.scs)
         block, _ = scan_block_geometry(p512)
         assert 1.5 * block < len(capture) < 2.5 * block
-        scans = list(_pss_scan(capture.samples, p512, 130))
-        assert_scans_equal(scans, allocating_pss_scan(capture.samples, p512, 130))
-        metric, k_best = scans[cfg.cell_id.n2]
-        assert int(np.argmax(metric)) == 3000
-        assert k_best[3000] == 130
-        best = max(detect_pss(capture, p512, max_cfo_bins=130), key=lambda c: c.metric)
-        assert best.timing == 3000
+        whole = assert_matches_whole_scan(capture, p512, max_cfo_bins=130)
+        best, k = max(whole, key=lambda ck: ck[0].metric)
+        assert (best.n2, best.timing, k) == (cfg.cell_id.n2, 3000, 130)
         assert abs(best.cfo - 130 * p512.scs) < 0.05 * p512.scs
 
 
@@ -239,7 +275,32 @@ class TestFindPeaks:
         # maxima at either edge of the unpadded array common.
         padded = np.concatenate(([-1.0], np.array(levels, float) / 4, [-1.0]))
         want, _ = signal.find_peaks(padded, height=height / 4, distance=distance)
-        np.testing.assert_array_equal(_find_peaks(padded, height / 4, distance), want)
+        got = _find_peaks(padded, np.arange(padded.size), height / 4, distance)
+        np.testing.assert_array_equal(got, want)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        levels=st.lists(st.integers(0, 4), min_size=1, max_size=120),
+        cuts=st.sets(st.integers(1, 119)),
+        height=st.integers(1, 4),
+        distance=st.integers(1, 12),
+    )
+    def test_kept_runs_over_group_splits(self, levels, cuts, height, distance):
+        # Picking from the lags each group keeps finds the peaks of the whole
+        # array, including plateaus that a split cuts in two.
+        metric = np.array(levels, float) / 4
+        n = metric.size
+        whole_lags = np.arange(-1, n + 1)
+        padded = np.concatenate(([-1.0], metric, [-1.0]))
+        want = whole_lags[_find_peaks(padded, whole_lags, height / 4, distance)]
+
+        edges = [0, *sorted(c for c in cuts if c < n), n]
+        lags = np.concatenate([lo + np.flatnonzero(_kept_lags(metric[lo:hi], height / 4))
+                               for lo, hi in zip(edges, edges[1:])])
+        kept_lags = np.concatenate(([-1], lags, [n]))
+        kept = np.concatenate(([-1.0], metric[lags], [-1.0]))
+        got = kept_lags[_find_peaks(kept, kept_lags, height / 4, distance)]
+        np.testing.assert_array_equal(got, want)
 
 
 def sss_of(capture, cand, params):

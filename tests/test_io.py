@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -13,13 +14,14 @@ from nrlab.io import (
     read_sidecar,
     read_sweep_csv,
     sidecar_path,
+    write_aoa_csv,
     write_capture,
     write_detection_report,
     write_geometry,
     write_report,
     write_sweep_csv,
 )
-from nrlab.sounding import AntennaPattern
+from nrlab.sounding import AntennaPattern, AoaDelayProfile
 
 
 def sample_capture():
@@ -136,6 +138,43 @@ class TestSweepCsv:
         path.write_text("freq_hz,re,im\n1e9,1.0,zero\n1.001e9,1,0\n")
         with pytest.raises(ValueError, match="line 2"):
             read_sweep_csv(path)
+
+
+def reference_write_aoa_csv(path, profile):
+    """The per-cell writer: one np.isnan and one f-string per cell."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["angle_deg"] + [repr(float(d)) for d in profile.delays])
+        for a in range(profile.angles_deg.size):
+            row = [repr(float(profile.angles_deg[a]))]
+            for p in profile.power_db[a]:
+                row.append("" if np.isnan(p) else f"{float(p):.2f}")
+            writer.writerow(row)
+
+
+class TestAoaCsv:
+    def test_bytes_equal_per_cell_writer(self, tmp_path):
+        rng = np.random.default_rng(3)
+        power = rng.uniform(-80.0, 0.0, (7, 33))
+        power[2] = np.nan  # a masked angle
+        power[4, 5] = -np.inf
+        power[4, 6] = -0.004  # rounds to -0.00
+        power[5, ::3] = np.nan
+        power[6, 0] = 0.0
+        profile = AoaDelayProfile(
+            angles_deg=np.linspace(-90.0, 90.0, 7),
+            delays=np.arange(33) / 3e9,
+            power_db=power,
+            valid=~np.isnan(power),
+        )
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_aoa_csv(got, profile)
+        reference_write_aoa_csv(want, profile)
+        lines = got.read_bytes().split(b"\r\n")
+        assert lines[0].startswith(b"angle_deg,0.0,")
+        assert lines[3] == b"-30.0" + b"," * 33
+        assert b",-inf,-0.00," in lines[5]
+        assert got.read_bytes() == want.read_bytes()
 
 
 class TestGeometry:
