@@ -55,7 +55,7 @@ from .sounding import (
     link_budget_range,
     sweep_to_cir,
 )
-from .types import CellId, IqCapture, OfdmParams, ResourceGrid, SsbConfig
+from .types import CellId, IqCapture, OfdmParams, SsbConfig
 from .waveform import (
     map_ssb,
     ofdm_demodulate,

@@ -17,7 +17,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .detector import DEFAULT_PSS_THRESHOLD, demodulate_burst, enumerate_ssb_bursts
+from .detector import (
+    DEFAULT_PSS_THRESHOLD,
+    _check_sample_rate,
+    demodulate_burst,
+    enumerate_ssb_bursts,
+)
 from .exposure import SIGNAL_CLASSES, build_report, code_selective_power
 from .io import (
     read_capture,
@@ -201,11 +206,7 @@ def _ofdm_params(cfg: dict) -> OfdmParams:
 def _read_capture_at(path, params: OfdmParams):
     """Read a capture whose sidecar rate must match the numerology's rate."""
     capture, _ = read_capture(path)
-    if abs(capture.sample_rate - params.sample_rate) > 1e-6 * params.sample_rate:
-        raise ValueError(
-            f"capture sample rate {capture.sample_rate:.6g} Hz differs from "
-            f"numerology rate {params.sample_rate:.6g} Hz"
-        )
+    _check_sample_rate(capture, params)
     return capture
 
 

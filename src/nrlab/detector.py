@@ -29,12 +29,11 @@ from .sequences import gen_pbch_dmrs, gen_pss, gen_sss
 from .types import (
     N_SSB_SUBCARRIERS,
     N_SSB_SYMBOLS,
+    SYNC_BAND,
+    SYNC_SEQ_LEN,
     CellId,
     IqCapture,
     OfdmParams,
-    ResourceGrid,
-    SYNC_FIRST_SUBCARRIER,
-    SYNC_SEQ_LEN,
 )
 from .waveform import _demodulate_symbols, _subcarrier_bins, ofdm_modulate, ssb_layout
 
@@ -81,15 +80,24 @@ class DetectionResult:
     cell_id_conflict: bool = False
 
 
+def _check_sample_rate(capture: IqCapture, params: OfdmParams) -> None:
+    """Reject a capture whose sample rate differs from the numerology's by
+    more than 1 ppm: its symbols would not line up with the transform."""
+    if abs(capture.sample_rate - params.sample_rate) > 1e-6 * params.sample_rate:
+        raise ValueError(
+            f"capture sample rate {capture.sample_rate:.6g} Hz differs from "
+            f"numerology rate {params.sample_rate:.6g} Hz"
+        )
+
+
 @lru_cache(maxsize=8)
 def _pss_replicas(params: OfdmParams) -> np.ndarray:
     """Time-domain replicas of the three PSS symbols, shape (3, symbol_len)."""
     reps = np.empty((3, params.symbol_len), dtype=np.complex128)
-    sync = slice(SYNC_FIRST_SUBCARRIER, SYNC_FIRST_SUBCARRIER + SYNC_SEQ_LEN)
     for n2 in range(3):
         row = np.zeros((1, N_SSB_SUBCARRIERS), dtype=np.complex128)
-        row[0, sync] = gen_pss(n2)
-        reps[n2] = ofdm_modulate(ResourceGrid(row), params).samples
+        row[0, SYNC_BAND] = gen_pss(n2)
+        reps[n2] = ofdm_modulate(row, params).samples
     reps.setflags(write=False)
     return reps
 
@@ -312,9 +320,15 @@ def detect_pss(
 
     Returns:
         Candidates sorted by timing, then descending metric.
+
+    Raises:
+        ValueError: the threshold is outside (0, 1), the capture's sample
+            rate is not the numerology's, or the capture is shorter than one
+            OFDM symbol.
     """
     if not 0 < threshold < 1:
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
+    _check_sample_rate(capture, params)
     x = capture.samples
     if x.size == 0:
         raise ValueError("empty capture")
@@ -363,7 +377,7 @@ def _derotation(cfo_hz: float, sample_rate: float, length: int) -> np.ndarray:
 
 def demodulate_burst(
     capture: IqCapture, timing: int, cfo_hz: float, params: OfdmParams
-) -> ResourceGrid:
+) -> np.ndarray:
     """CFO-correct and demodulate one SSB (4 symbols) starting at `timing`.
 
     The derotated samples go straight to ofdm_demodulate's symbol transform,
@@ -371,9 +385,11 @@ def demodulate_burst(
     phasor cached per CFO.
 
     Raises:
-        ValueError: the burst does not fit in the capture, the CFO is not
-            finite, or the FFT is narrower than the SSB.
+        ValueError: the capture's sample rate is not the numerology's, the
+            burst does not fit in the capture, the CFO is not finite, or the
+            FFT is narrower than the SSB.
     """
+    _check_sample_rate(capture, params)
     length = N_SSB_SYMBOLS * params.symbol_len
     x = capture.samples
     if timing < 0 or timing + length > x.size:
@@ -389,7 +405,7 @@ def demodulate_burst(
     return _demodulate_symbols(derotated, params, N_SSB_SYMBOLS, bins)
 
 
-def _sss_from_grid(grid: ResourceGrid, n2: int) -> tuple[int, float]:
+def _sss_from_grid(grid: np.ndarray, n2: int) -> tuple[int, float]:
     """Identify the SSS group of a demodulated burst with PSS sector `n2`.
 
     The SSS symbol (two symbols after the PSS) is equalized with the channel
@@ -400,9 +416,8 @@ def _sss_from_grid(grid: ResourceGrid, n2: int) -> tuple[int, float]:
     Returns:
         (n1, normalized metric of the winning hypothesis).
     """
-    sync = slice(SYNC_FIRST_SUBCARRIER, SYNC_FIRST_SUBCARRIER + SYNC_SEQ_LEN)
-    chan = np.mean(grid.data[0, sync] * _pss_sequence(n2))  # LS per RE, then flat
-    equalized = grid.data[2, sync] * np.conj(chan)
+    chan = np.mean(grid[0, SYNC_BAND] * _pss_sequence(n2))  # LS per RE, then flat
+    equalized = grid[2, SYNC_BAND] * np.conj(chan)
     scores = np.abs(_sss_bank(n2) @ equalized)
     denom = np.linalg.norm(equalized) * np.sqrt(SYNC_SEQ_LEN)
     n1 = int(np.argmax(scores))
@@ -410,14 +425,14 @@ def _sss_from_grid(grid: ResourceGrid, n2: int) -> tuple[int, float]:
     return n1, metric
 
 
-def identify_ssb_index(grid: ResourceGrid, cell_id: CellId) -> tuple[int, float]:
+def identify_ssb_index(grid: np.ndarray, cell_id: CellId) -> tuple[int, float]:
     """Pick the SSB index whose DM-RS best matches the demodulated grid.
 
     Returns:
         (i_ssb_bar, normalized metric of the winning hypothesis).
     """
     mask = ssb_layout(cell_id.cell)["dmrs"]
-    observed = grid.data[mask]
+    observed = grid[mask]
     bank = _dmrs_bank(cell_id.cell)
     scores = np.abs(bank @ observed)
     denom = np.linalg.norm(observed) * np.sqrt(bank.shape[1])
@@ -461,7 +476,7 @@ def enumerate_ssb_bursts(
         return DetectionResult(cell_id=None)
 
     votes: Counter[tuple[int, int]] = Counter()
-    staged: list[tuple[PssCandidate, ResourceGrid, float]] = []
+    staged: list[tuple[PssCandidate, np.ndarray, float]] = []
     for cand in merged:
         grid = demodulate_burst(capture, cand.timing, cand.cfo, params)
         n1, sss_metric = _sss_from_grid(grid, cand.n2)

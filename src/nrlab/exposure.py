@@ -8,7 +8,7 @@ from functools import lru_cache
 import numpy as np
 
 from .detector import DetectionResult
-from .types import N_SSB_SYMBOLS, CellId, ResourceGrid, SsbConfig
+from .types import N_SSB_SYMBOLS, CellId, SsbConfig
 from .waveform import map_ssb, ssb_layout
 
 SIGNAL_CLASSES = ("pss", "sss", "dmrs", "pbch")
@@ -60,7 +60,7 @@ def _despread_table(cell: int, i_ssb_bar: int) -> tuple:
     SSB index, in SIGNAL_CLASSES order. The arrays are read-only."""
     reference = map_ssb(
         SsbConfig(cell_id=CellId.from_cell(cell), i_ssb_bar=i_ssb_bar, re_power=1.0)
-    ).data
+    )
     layout = ssb_layout(cell)
     table = []
     for name in SIGNAL_CLASSES:
@@ -78,7 +78,7 @@ def _despread_table(cell: int, i_ssb_bar: int) -> tuple:
 
 
 def code_selective_power(
-    grid: ResourceGrid, detection: DetectionResult, burst_index: int = 0
+    grid: np.ndarray, detection: DetectionResult, burst_index: int = 0
 ) -> dict[str, float]:
     """Mean per-RE power of each signal class, despread against its reference.
 
@@ -105,7 +105,7 @@ def code_selective_power(
         acc = 0.0
         count = 0
         for sym, cols, ref, ref_energy in rows:
-            fit = np.vdot(ref, grid.data[sym, cols]) / ref_energy
+            fit = np.vdot(ref, grid[sym, cols]) / ref_energy
             acc += cols.size * float(np.abs(fit) ** 2)
             count += cols.size
         powers[name] = acc / count

@@ -17,6 +17,7 @@ from .types import IqCapture
 
 ALLOWED_PORT_COUNTS = (2, 4, 8)
 CONDITION_CAP = 1e6
+RANDOM_CONDITION_LIMIT = 8.0
 ISOLATION_CAP_DB = 100.0
 # Output of cancel_rc_decay is flagged when its out-of-peak floor (median of
 # the upper-half delay bins) relative to the peak exceeds this bound.
@@ -89,16 +90,13 @@ class FadingRealization:
         return list(zip(self.delays.tolist(), self.gains.tolist()))
 
 
-def random_well_conditioned(
-    n_ports: int, rng=None, condition_limit: float = 8.0
-) -> TransferMatrix:
-    """Draw a random transfer matrix with condition number below the limit.
+def random_well_conditioned(n_ports: int, rng=None) -> TransferMatrix:
+    """Draw a random transfer matrix with condition number below
+    RANDOM_CONDITION_LIMIT.
 
     Built as U diag(s) V* with Haar-ish unitaries from QR factorizations and
-    singular values uniform in [1/condition_limit, 1].
+    singular values uniform in [1/RANDOM_CONDITION_LIMIT, 1].
     """
-    if condition_limit <= 1:
-        raise ValueError(f"condition_limit must be > 1, got {condition_limit}")
     gen = np.random.default_rng(rng)
 
     def unitary() -> np.ndarray:
@@ -108,7 +106,7 @@ def random_well_conditioned(
         q, r = np.linalg.qr(z)
         return q * (np.diag(r) / np.abs(np.diag(r)))
 
-    s = gen.uniform(1.0 / condition_limit, 1.0, size=n_ports)
+    s = gen.uniform(1.0 / RANDOM_CONDITION_LIMIT, 1.0, size=n_ports)
     s[0] = 1.0
     return TransferMatrix(unitary() @ np.diag(s) @ unitary().conj().T)
 
@@ -191,29 +189,27 @@ def estimate_transfer_matrix(
     return TransferMatrix(est)
 
 
-def compute_calibration(
-    a: TransferMatrix, condition_cap: float = CONDITION_CAP
-) -> np.ndarray:
+def compute_calibration(a: TransferMatrix) -> np.ndarray:
     """Inverse of the transfer matrix; a*C is the effective channel.
 
     Raises:
-        ValueError: singular or with condition number above the cap, beyond
-            which the wireless-cable premise fails physically.
+        ValueError: singular or with condition number above CONDITION_CAP,
+            beyond which the wireless-cable premise fails physically.
     """
-    if not np.isfinite(a.condition_number) or a.condition_number > condition_cap:
+    if not np.isfinite(a.condition_number) or a.condition_number > CONDITION_CAP:
         raise ValueError(
             f"transfer matrix too ill-conditioned to calibrate: condition number "
-            f"{a.condition_number:.3e} exceeds cap {condition_cap:.1e}"
+            f"{a.condition_number:.3e} exceeds cap {CONDITION_CAP:.1e}"
         )
     return np.linalg.inv(a.a)
 
 
-def isolation_db(t: np.ndarray, cap_db: float = ISOLATION_CAP_DB) -> float:
+def isolation_db(t: np.ndarray) -> float:
     """Worst-row isolation of an effective channel matrix in dB.
 
-    Per row: 10*log10(|t_ii|^2 / sum_{j != i} |t_ij|^2), capped at cap_db
-    when the off-diagonal power underflows; a zero diagonal entry yields
-    -inf as the fail value.
+    Per row: 10*log10(|t_ii|^2 / sum_{j != i} |t_ij|^2), capped at
+    ISOLATION_CAP_DB when the off-diagonal power underflows; a zero diagonal
+    entry yields -inf as the fail value.
     """
     t = np.asarray(t, dtype=np.complex128)
     if t.ndim != 2 or t.shape[0] != t.shape[1]:
@@ -224,7 +220,7 @@ def isolation_db(t: np.ndarray, cap_db: float = ISOLATION_CAP_DB) -> float:
     with np.errstate(divide="ignore", invalid="ignore"):
         rows = 10.0 * np.log10(diag / off)
     rows[diag == 0.0] = -np.inf
-    return float(np.minimum(rows, cap_db).min())
+    return float(np.minimum(rows, ISOLATION_CAP_DB).min())
 
 
 def simulate_rc_channel(model: RcChannelModel) -> FadingRealization:
@@ -315,16 +311,22 @@ def apply_channel(capture: IqCapture, taps: FadingRealization) -> IqCapture:
 
 
 def awgn(capture: IqCapture, noise_power: float, rng=None) -> IqCapture:
-    """Add seeded complex white Gaussian noise of the given per-sample power."""
+    """Add seeded complex white Gaussian noise of the given per-sample power.
+
+    The noise is drawn, scaled and summed in the one output array: real
+    parts first, then imaginary parts, from the same generator.
+    """
     if noise_power < 0:
         raise ValueError(f"noise_power must be >= 0, got {noise_power}")
     gen = np.random.default_rng(rng)
     n = capture.samples.size
-    noise = (gen.standard_normal(n) + 1j * gen.standard_normal(n)) * np.sqrt(
-        noise_power / 2.0
-    )
+    out = np.empty(n, dtype=np.complex128)
+    out.real = gen.standard_normal(n)
+    out.imag = gen.standard_normal(n)
+    out *= np.sqrt(noise_power / 2.0)
+    out += capture.samples
     return IqCapture(
-        capture.samples + noise,
+        out,
         sample_rate=capture.sample_rate,
         center_freq=capture.center_freq,
         scale=capture.scale,

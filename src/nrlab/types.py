@@ -1,14 +1,14 @@
 """Shared domain types for the synthesis/detection pipeline."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 N_SSB_SYMBOLS = 4
 N_SSB_SUBCARRIERS = 240
 SYNC_SEQ_LEN = 127
-SYNC_FIRST_SUBCARRIER = 56  # first subcarrier of the 127-wide PSS/SSS band
+SYNC_BAND = slice(56, 56 + SYNC_SEQ_LEN)  # the subcarriers of the PSS and the SSS
 
 
 @dataclass(frozen=True)
@@ -101,44 +101,6 @@ class SsbConfig:
             raise ValueError(f"burst_period must be >= 0, got {self.burst_period}")
         if not self.re_power > 0:
             raise ValueError(f"re_power must be > 0, got {self.re_power}")
-
-
-@dataclass
-class ResourceGrid:
-    """Complex symbol-by-subcarrier grid with per-signal-class occupancy masks.
-
-    data has shape (n_symbols, n_subcarriers). layout maps a signal-class name
-    ("pss", "sss", "dmrs", "pbch") to a boolean mask of the same shape; cells
-    outside every mask are empty and hold exact zeros in a freshly mapped grid.
-    """
-
-    data: np.ndarray
-    layout: dict[str, np.ndarray] = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.complex128)
-        if self.data.ndim != 2:
-            raise ValueError(f"grid data must be 2-D, got shape {self.data.shape}")
-        for name, mask in self.layout.items():
-            if mask.shape != self.data.shape:
-                raise ValueError(f"layout mask {name!r} shape {mask.shape} "
-                                 f"does not match grid shape {self.data.shape}")
-
-    @property
-    def n_symbols(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def n_subcarriers(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def occupied_mask(self) -> np.ndarray:
-        """Union of all layout masks (empty layout means nothing is declared occupied)."""
-        mask = np.zeros(self.data.shape, dtype=bool)
-        for m in self.layout.values():
-            mask |= m
-        return mask
 
 
 @dataclass

@@ -1,4 +1,8 @@
-"""SSB resource-grid mapping and CP-OFDM conversion between grid and samples."""
+"""SSB resource-grid mapping and CP-OFDM conversion between grid and samples.
+
+A grid is a plain (symbols, subcarriers) complex array; ssb_layout gives the
+positions of each signal class in an SSB grid.
+"""
 from __future__ import annotations
 
 import dataclasses
@@ -10,12 +14,10 @@ from .sequences import gen_gold, gen_pbch_dmrs, gen_pss, gen_sss, qpsk_from_bits
 from .types import (
     N_SSB_SUBCARRIERS,
     N_SSB_SYMBOLS,
+    SYNC_BAND,
     IqCapture,
     OfdmParams,
-    ResourceGrid,
     SsbConfig,
-    SYNC_FIRST_SUBCARRIER,
-    SYNC_SEQ_LEN,
 )
 
 PBCH_PLACEHOLDER_BITS = 864  # 432 QPSK data symbols
@@ -24,9 +26,10 @@ PBCH_PLACEHOLDER_BITS = 864  # 432 QPSK data symbols
 def ssb_layout(cell: int) -> dict[str, np.ndarray]:
     """Boolean occupancy masks of one SSB for each signal class.
 
-    The DM-RS comb offset is cell mod 4; PBCH data cells are the PBCH region
-    minus the DM-RS comb. Masks share the 4 x 240 grid shape. They are built
-    once per comb offset and are read-only; each call returns a new dict.
+    This is the one source of the class positions in an SSB grid. The DM-RS
+    comb offset is cell mod 4; PBCH data cells are the PBCH region minus the
+    DM-RS comb. Masks share the 4 x 240 grid shape. They are built once per
+    comb offset and are read-only; each call returns a new dict.
     """
     if not 0 <= cell <= 1007:
         raise ValueError(f"cell must be in 0..1007, got {cell}")
@@ -37,12 +40,10 @@ def ssb_layout(cell: int) -> dict[str, np.ndarray]:
 def _layout_masks(comb_offset: int) -> dict[str, np.ndarray]:
     """The read-only masks behind ssb_layout for one DM-RS comb offset."""
     shape = (N_SSB_SYMBOLS, N_SSB_SUBCARRIERS)
-    sync = slice(SYNC_FIRST_SUBCARRIER, SYNC_FIRST_SUBCARRIER + SYNC_SEQ_LEN)
-
     pss = np.zeros(shape, dtype=bool)
-    pss[0, sync] = True
+    pss[0, SYNC_BAND] = True
     sss = np.zeros(shape, dtype=bool)
-    sss[2, sync] = True
+    sss[2, SYNC_BAND] = True
 
     region = np.zeros(shape, dtype=bool)
     region[1, :] = True
@@ -62,8 +63,8 @@ def _layout_masks(comb_offset: int) -> dict[str, np.ndarray]:
     return masks
 
 
-def map_ssb(cfg: SsbConfig) -> ResourceGrid:
-    """Map one SSB into a fresh 4 x 240 grid.
+def map_ssb(cfg: SsbConfig) -> np.ndarray:
+    """Map one SSB into a fresh 4 x 240 complex grid.
 
     PBCH data cells carry a deterministic placeholder QPSK filler scrambled
     by the cell identity; every occupied resource element ends up with power
@@ -78,25 +79,26 @@ def map_ssb(cfg: SsbConfig) -> ResourceGrid:
         gen_gold(cfg.cell_id.cell, 0, PBCH_PLACEHOLDER_BITS)
     )
     data *= np.sqrt(cfg.re_power)
-    return ResourceGrid(data, layout)
+    return data
 
 
-def ofdm_modulate(grid: ResourceGrid, params: OfdmParams) -> IqCapture:
-    """CP-OFDM modulate a grid, one symbol per row.
+def ofdm_modulate(grid: np.ndarray, params: OfdmParams) -> IqCapture:
+    """CP-OFDM modulate a (symbols, subcarriers) grid, one symbol per row.
 
     Each row is centered in the transform bins and sent through a unitary
     inverse FFT, so with cp_len = 0 the time-domain energy equals the grid
     energy exactly (scale constant 1.0); the cyclic prefix prepends a copy of
     the symbol tail.
+
+    Raises:
+        ValueError: the grid is not 2-D, or is wider than the FFT.
     """
-    n_sym, n_sc = grid.data.shape
-    if params.fft_size < n_sc:
-        raise ValueError(
-            f"fft_size {params.fft_size} smaller than grid width {n_sc}"
-        )
-    bins = (np.arange(n_sc) - n_sc // 2) % params.fft_size
+    grid = np.asarray(grid)
+    if grid.ndim != 2:
+        raise ValueError(f"grid must be 2-D, got shape {grid.shape}")
+    n_sym, n_sc = grid.shape
     spectrum = np.zeros((n_sym, params.fft_size), dtype=np.complex128)
-    spectrum[:, bins] = grid.data
+    spectrum[:, _subcarrier_bins(n_sc, params.fft_size)] = grid
     body = np.fft.ifft(spectrum, axis=1, norm="ortho")
     sym = np.concatenate([body[:, params.fft_size - params.cp_len:], body], axis=1)
     return IqCapture(sym.reshape(-1), sample_rate=params.sample_rate)
@@ -108,7 +110,7 @@ def ofdm_demodulate(
     symbol_start: int = 0,
     n_symbols: int | None = None,
     n_subcarriers: int = N_SSB_SUBCARRIERS,
-) -> ResourceGrid:
+) -> np.ndarray:
     """Inverse of ofdm_modulate: strip CPs, forward-transform, extract center bins.
 
     Args:
@@ -116,6 +118,9 @@ def ofdm_demodulate(
         params: numerology used at modulation.
         symbol_start: sample index of the first symbol (its CP).
         n_symbols: symbols to demodulate; None takes every full symbol that fits.
+
+    Returns:
+        The (n_symbols, n_subcarriers) complex grid.
 
     Raises:
         ValueError: fewer samples available than the requested symbols need.
@@ -138,15 +143,15 @@ def ofdm_demodulate(
 
 @lru_cache(maxsize=8)
 def _subcarrier_bins(n_subcarriers: int, fft_size: int) -> np.ndarray:
-    """Read-only transform bins of the centered subcarriers, as ofdm_modulate
-    places them.
+    """Read-only transform bins of n_subcarriers centered subcarriers: where
+    ofdm_modulate places them and the demodulators take them from.
 
     Raises:
         ValueError: the transform is narrower than the subcarriers.
     """
     if fft_size < n_subcarriers:
         raise ValueError(
-            f"fft_size {fft_size} smaller than requested width {n_subcarriers}"
+            f"fft_size {fft_size} smaller than grid width {n_subcarriers}"
         )
     bins = (np.arange(n_subcarriers) - n_subcarriers // 2) % fft_size
     bins.setflags(write=False)
@@ -155,12 +160,12 @@ def _subcarrier_bins(n_subcarriers: int, fft_size: int) -> np.ndarray:
 
 def _demodulate_symbols(
     seg: np.ndarray, params: OfdmParams, n_symbols: int, bins: np.ndarray
-) -> ResourceGrid:
+) -> np.ndarray:
     """Strip the CPs of n_symbols whole symbols, forward-transform them in
     one call and keep the given bins."""
     sym = seg.reshape(n_symbols, params.symbol_len)[:, params.cp_len:]
     spectrum = np.fft.fft(sym, axis=1, norm="ortho")
-    return ResourceGrid(spectrum[:, bins])
+    return spectrum[:, bins]
 
 
 def ssb_waveform(cfg: SsbConfig, params: OfdmParams) -> np.ndarray:

@@ -10,11 +10,10 @@ to equal these exactly.
 import numpy as np
 
 from nrlab import IqCapture, SsbConfig, gen_pbch_dmrs, gen_pss, gen_sss
-from nrlab.types import N_SSB_SYMBOLS, SYNC_FIRST_SUBCARRIER, SYNC_SEQ_LEN
+from nrlab.types import N_SSB_SYMBOLS, SYNC_BAND, SYNC_SEQ_LEN
 from nrlab.waveform import map_ssb, ofdm_demodulate, ssb_layout
 
 SIGNAL_CLASSES = ("pss", "sss", "dmrs", "pbch")
-SYNC = slice(SYNC_FIRST_SUBCARRIER, SYNC_FIRST_SUBCARRIER + SYNC_SEQ_LEN)
 
 
 def reference_code_selective_power(grid, detection, burst_index=0):
@@ -29,13 +28,13 @@ def reference_code_selective_power(grid, detection, burst_index=0):
         mask = layout[name]
         acc = 0.0
         count = 0
-        for sym in range(grid.n_symbols):
+        for sym in range(grid.shape[0]):
             cols = mask[sym]
             n = int(cols.sum())
             if n == 0:
                 continue
-            ref = reference.data[sym, cols]
-            fit = np.vdot(ref, grid.data[sym, cols]) / np.vdot(ref, ref)
+            ref = reference[sym, cols]
+            fit = np.vdot(ref, grid[sym, cols]) / np.vdot(ref, ref)
             acc += n * float(np.abs(fit) ** 2)
             count += n
         powers[name] = acc / count
@@ -55,8 +54,8 @@ def reference_demodulate_burst(capture, timing, cfo_hz, params):
 
 def reference_sss_from_grid(grid, n2):
     """SSS decision through the real-valued bank's mixed product."""
-    chan = np.mean(grid.data[0, SYNC] * gen_pss(n2))
-    equalized = grid.data[2, SYNC] * np.conj(chan)
+    chan = np.mean(grid[0, SYNC_BAND] * gen_pss(n2))
+    equalized = grid[2, SYNC_BAND] * np.conj(chan)
     bank = np.stack([gen_sss(n1, n2) for n1 in range(336)])
     scores = np.abs(bank @ equalized)
     denom = np.linalg.norm(equalized) * np.sqrt(SYNC_SEQ_LEN)
@@ -66,7 +65,7 @@ def reference_sss_from_grid(grid, n2):
 
 def reference_identify_ssb_index(grid, cell_id):
     """DM-RS decision, conjugating the bank at the call."""
-    observed = grid.data[ssb_layout(cell_id.cell)["dmrs"]]
+    observed = grid[ssb_layout(cell_id.cell)["dmrs"]]
     bank = np.stack([gen_pbch_dmrs(cell_id, i) for i in range(8)])
     scores = np.abs(bank.conj() @ observed)
     denom = np.linalg.norm(observed) * np.sqrt(bank.shape[1])

@@ -14,7 +14,6 @@ from nrlab import (
     IqCapture,
     OfdmParams,
     RcChannelModel,
-    ResourceGrid,
     SsbConfig,
     VirtualArrayScan,
     aoa_delay_profile,
@@ -356,19 +355,17 @@ def test_criterion_8_rc_statistics_and_cancellation():
 def test_criterion_9_numerical_identities():
     # OFDM round trip
     rng = np.random.default_rng(99)
-    grid = ResourceGrid(
-        rng.standard_normal((4, 240)) + 1j * rng.standard_normal((4, 240))
-    )
+    grid = rng.standard_normal((4, 240)) + 1j * rng.standard_normal((4, 240))
     back = ofdm_demodulate(ofdm_modulate(grid, PARAMS), PARAMS, n_symbols=4)
     round_trip = float(
-        np.max(np.abs(back.data - grid.data)) / np.max(np.abs(grid.data))
+        np.max(np.abs(back - grid)) / np.max(np.abs(grid))
     )
 
     # Parseval with the documented scale constant 1.0 (cyclic prefix absent)
     p0 = OfdmParams(cp_len=0)
     capture = ofdm_modulate(grid, p0)
     parseval = abs(
-        np.sum(np.abs(capture.samples) ** 2) / np.sum(np.abs(grid.data) ** 2) - 1.0
+        np.sum(np.abs(capture.samples) ** 2) / np.sum(np.abs(grid) ** 2) - 1.0
     )
 
     # PDP normalization

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.testing import assert_array_equal
 from scipy import signal
 
 from nrlab import (
     CellId,
     IqCapture,
     OfdmParams,
-    ResourceGrid,
     SsbConfig,
     demodulate_burst,
     detect_pss,
@@ -454,7 +454,7 @@ class TestDemodulateBurst:
         capture = burst_capture(cell=42, lead_in=250)
         grid = demodulate_burst(capture, 250, 0.0, params)
         want = map_ssb(SsbConfig(cell_id=CellId.from_cell(42)))
-        assert np.max(np.abs(grid.data - want.data)) < 1e-9
+        assert np.max(np.abs(grid - want)) < 1e-9
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -474,8 +474,8 @@ class TestDemodulateBurst:
                             p.sample_rate)
         timing = round(at * (n - 4 * p.symbol_len))
         cfo = cfo_scs * p.scs
-        got = demodulate_burst(capture, timing, cfo, p).data
-        want = reference_demodulate_burst(capture, timing, cfo, p).data
+        got = demodulate_burst(capture, timing, cfo, p)
+        want = reference_demodulate_burst(capture, timing, cfo, p)
         assert np.array_equal(got, want)
         assert got.tobytes() == want.tobytes()
 
@@ -491,6 +491,22 @@ class TestDemodulateBurst:
             demodulate_burst(capture, 0, 0.0, p128)
 
 
+class TestSampleRate:
+    def test_capture_at_twice_the_rate_rejected(self, params, burst_capture):
+        doubled = IqCapture(burst_capture().samples, 2 * params.sample_rate)
+        with pytest.raises(ValueError, match="sample rate"):
+            detect_pss(doubled, params)
+        with pytest.raises(ValueError, match="sample rate"):
+            demodulate_burst(doubled, 300, 0.0, params)
+
+    def test_rate_within_one_ppm_accepted(self, params, burst_capture):
+        capture = burst_capture()
+        near = IqCapture(capture.samples, params.sample_rate * (1 + 5e-7))
+        assert detect_pss(near, params) == detect_pss(capture, params)
+        assert_array_equal(demodulate_burst(near, 300, 0.0, params),
+                           demodulate_burst(capture, 300, 0.0, params))
+
+
 class TestBanks:
     """The cached SSS and DM-RS banks decide exactly as the direct products."""
 
@@ -500,9 +516,9 @@ class TestBanks:
         grids = [map_ssb(SsbConfig(cell_id=CellId(n1=n1, n2=n2))) for n1 in (0, 17, 335)]
         noisy = burst_capture(cell=300 + n2, snr_db=-3.0, seed=n2)
         grids.append(demodulate_burst(noisy, 300, 0.0, params))
-        grids += [ResourceGrid(rng.standard_normal((4, 240))
-                               + 1j * rng.standard_normal((4, 240))) for _ in range(20)]
-        grids.append(ResourceGrid(np.zeros((4, 240))))
+        grids += [rng.standard_normal((4, 240))
+                  + 1j * rng.standard_normal((4, 240)) for _ in range(20)]
+        grids.append(np.zeros((4, 240), dtype=np.complex128))
         for grid in grids:
             assert _sss_from_grid(grid, n2) == reference_sss_from_grid(grid, n2)
 
@@ -512,9 +528,8 @@ class TestBanks:
     def test_decisions_equal_direct_products(self, cell, i_bar, seed, noise):
         cid = CellId.from_cell(cell)
         rng = np.random.default_rng(seed)
-        data = map_ssb(SsbConfig(cell_id=cid, i_ssb_bar=i_bar)).data
-        data = data + noise * (rng.standard_normal(data.shape)
-                               + 1j * rng.standard_normal(data.shape))
-        grid = ResourceGrid(data)
+        grid = map_ssb(SsbConfig(cell_id=cid, i_ssb_bar=i_bar))
+        grid = grid + noise * (rng.standard_normal(grid.shape)
+                               + 1j * rng.standard_normal(grid.shape))
         assert identify_ssb_index(grid, cid) == reference_identify_ssb_index(grid, cid)
         assert _sss_from_grid(grid, cid.n2) == reference_sss_from_grid(grid, cid.n2)

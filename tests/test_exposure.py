@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from nrlab import (
     CellId,
-    ResourceGrid,
     SsbConfig,
     check_targets,
     code_selective_power,
@@ -44,7 +43,7 @@ class TestCodeSelectivePower:
 
     def test_linearity_quadrupling_power(self):
         base = map_ssb(SsbConfig(cell_id=CellId.from_cell(3)))
-        scaled = ResourceGrid(base.data * 2.0, base.layout)
+        scaled = base * 2.0
         p0 = code_selective_power(base, detection_for(3))
         p1 = code_selective_power(scaled, detection_for(3))
         for name in SIGNAL_CLASSES:
@@ -67,7 +66,7 @@ class TestCodeSelectivePower:
             ga = map_ssb(SsbConfig(cell_id=CellId.from_cell(a)))
             gb = map_ssb(SsbConfig(cell_id=CellId.from_cell(b)))
             phase = np.exp(2j * np.pi * rng.random())
-            combined = ResourceGrid(ga.data + phase * gb.data, ga.layout)
+            combined = ga + phase * gb
             p = code_selective_power(combined, detection_for(a))["sss"]
             shifts.append(abs(10 * math.log10(p)))
         shifts = np.array(shifts)
@@ -97,11 +96,10 @@ class TestDespreadTable:
     )
     def test_matches_per_call_reference(self, cell, i_ssb_bar, seed, zero_rows, signal):
         rng = np.random.default_rng(seed)
-        data = signal * map_ssb(SsbConfig(cell_id=CellId.from_cell(cell),
-                                          i_ssb_bar=i_ssb_bar)).data
-        data = data + rng.standard_normal((4, 240)) + 1j * rng.standard_normal((4, 240))
-        data[sorted(zero_rows)] = 0.0
-        grid = ResourceGrid(data)
+        grid = signal * map_ssb(SsbConfig(cell_id=CellId.from_cell(cell),
+                                          i_ssb_bar=i_ssb_bar))
+        grid = grid + rng.standard_normal((4, 240)) + 1j * rng.standard_normal((4, 240))
+        grid[sorted(zero_rows)] = 0.0
         detection = detection_for(cell, i_ssb_bar)
         assert code_selective_power(grid, detection) == reference_code_selective_power(
             grid, detection
@@ -111,8 +109,8 @@ class TestDespreadTable:
         detection = detection_for(212, 6)
         first = map_ssb(SsbConfig(cell_id=CellId.from_cell(212), i_ssb_bar=6))
         want = code_selective_power(first, detection)
-        first.data[:] = 0.0
-        first.data[1, ::3] = 5.0 - 2.0j
+        first[:] = 0.0
+        first[1, ::3] = 5.0 - 2.0j
         again = map_ssb(SsbConfig(cell_id=CellId.from_cell(212), i_ssb_bar=6))
         assert code_selective_power(again, detection) == want
         assert code_selective_power(first, detection) == reference_code_selective_power(

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -10,6 +12,7 @@ from nrlab import (
     RcChannelModel,
     TransferMatrix,
     apply_channel,
+    awgn,
     cancel_rc_decay,
     compute_calibration,
     estimate_transfer_matrix,
@@ -335,3 +338,37 @@ class TestApplyChannel:
             )
         expected = float(np.sum(np.abs(gains) ** 2))
         assert np.mean(ratios) == pytest.approx(expected, rel=0.02)
+
+
+class TestAwgn:
+    def test_draws_equal_the_two_draw_expression(self):
+        # awgn fills one array in place; it must draw exactly what
+        # capture + (real draw + 1j * imaginary draw) * sqrt(power / 2) draws.
+        for seed in range(20):
+            rng = np.random.default_rng(500 + seed)
+            x = rng.standard_normal(3000) + 1j * rng.standard_normal(3000)
+            power = 0.1 * (seed + 1)
+            gen = np.random.default_rng(seed)
+            want = x + (gen.standard_normal(x.size) + 1j * gen.standard_normal(x.size)) \
+                * np.sqrt(power / 2.0)
+            out = awgn(IqCapture(x, 1e6, center_freq=2e9, scale=3.0), power, rng=seed)
+            assert out.samples.tobytes() == want.tobytes()
+            assert (out.sample_rate, out.center_freq, out.scale) == (1e6, 2e9, 3.0)
+
+    def test_no_capture_sized_temporaries(self):
+        # The output (16 bytes a sample) plus one real draw (8) at a time;
+        # the two-draw expression peaks at over 30 bytes a sample.
+        n = 156_000
+        capture = IqCapture(np.ones(n, complex), 1e6)
+        awgn(capture, 1.0, rng=0)
+        tracemalloc.start()
+        try:
+            awgn(capture, 1.0, rng=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 26 * n, peak / n
+
+    def test_negative_power_rejected(self):
+        with pytest.raises(ValueError):
+            awgn(IqCapture(np.ones(4, complex), 1e6), -1.0)

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from nrlab import (
     CellId,
     IqCapture,
     OfdmParams,
-    ResourceGrid,
     SsbConfig,
     map_ssb,
     ofdm_demodulate,
@@ -64,31 +65,33 @@ class TestMapSsb:
     def test_data_fresh_and_writable(self):
         cfg = SsbConfig(cell_id=CellId.from_cell(3))
         grid = map_ssb(cfg)
-        assert grid.data.flags.writeable
-        grid.data[:] = 0.0
-        assert int(np.count_nonzero(map_ssb(cfg).data)) == 830
+        assert grid.flags.writeable
+        grid[:] = 0.0
+        assert int(np.count_nonzero(map_ssb(cfg))) == 830
 
     def test_dimensions_and_empty_cells(self):
         grid = map_ssb(SsbConfig(cell_id=CellId.from_cell(3)))
-        assert grid.data.shape == (4, 240)
-        assert int(grid.occupied_mask.sum()) == 830
-        assert np.all(grid.data[~grid.occupied_mask] == 0)
+        occupied = np.logical_or.reduce(list(ssb_layout(3).values()))
+        assert grid.shape == (4, 240)
+        assert grid.dtype == np.complex128
+        assert int(occupied.sum()) == 830
+        assert np.all(grid[~occupied] == 0)
 
     def test_power_accounting(self):
         grid = map_ssb(SsbConfig(cell_id=CellId.from_cell(10), re_power=2.5))
-        assert_allclose(np.sum(np.abs(grid.data) ** 2), 830 * 2.5, rtol=1e-12)
-        occupied = grid.data[grid.occupied_mask]
+        assert_allclose(np.sum(np.abs(grid) ** 2), 830 * 2.5, rtol=1e-12)
+        occupied = grid[np.logical_or.reduce(list(ssb_layout(10).values()))]
         assert_allclose(np.abs(occupied) ** 2, 2.5, rtol=1e-12)
 
     def test_pss_position(self):
         grid = map_ssb(SsbConfig(cell_id=CellId(n1=0, n2=0)))
-        assert np.all(grid.data[0, :56] == 0)
-        assert np.all(grid.data[0, 183:] == 0)
-        assert np.all(np.abs(grid.data[0, 56:183]) == 1.0)
+        assert np.all(grid[0, :56] == 0)
+        assert np.all(grid[0, 183:] == 0)
+        assert np.all(np.abs(grid[0, 56:183]) == 1.0)
 
     def test_deterministic(self):
         cfg = SsbConfig(cell_id=CellId.from_cell(99), i_ssb_bar=2)
-        assert_array_equal(map_ssb(cfg).data, map_ssb(cfg).data)
+        assert_array_equal(map_ssb(cfg), map_ssb(cfg))
 
 
 class TestOfdm:
@@ -96,15 +99,15 @@ class TestOfdm:
         grid = map_ssb(SsbConfig(cell_id=CellId.from_cell(3)))
         capture = ofdm_modulate(grid, params)
         back = ofdm_demodulate(capture, params, n_symbols=4)
-        err = np.max(np.abs(back.data - grid.data)) / np.max(np.abs(grid.data))
+        err = np.max(np.abs(back - grid)) / np.max(np.abs(grid))
         assert err < 1e-9
 
     def test_round_trip_random_grid(self, params):
         rng = np.random.default_rng(5)
         data = rng.standard_normal((4, 240)) + 1j * rng.standard_normal((4, 240))
-        capture = ofdm_modulate(ResourceGrid(data), params)
+        capture = ofdm_modulate(data, params)
         back = ofdm_demodulate(capture, params, n_symbols=4)
-        assert np.max(np.abs(back.data - data)) / np.max(np.abs(data)) < 1e-9
+        assert np.max(np.abs(back - data)) / np.max(np.abs(data)) < 1e-9
 
     def test_output_length(self, params):
         grid = map_ssb(SsbConfig(cell_id=CellId.from_cell(0)))
@@ -113,7 +116,7 @@ class TestOfdm:
     def test_single_tone_constant_magnitude(self, params):
         data = np.zeros((1, 240), dtype=complex)
         data[0, 100] = 1.0
-        samples = ofdm_modulate(ResourceGrid(data), params).samples
+        samples = ofdm_modulate(data, params).samples
         assert np.ptp(np.abs(samples)) < 1e-12
 
     def test_parseval_without_cp(self):
@@ -123,7 +126,7 @@ class TestOfdm:
         capture = ofdm_modulate(grid, p)
         assert_allclose(
             np.sum(np.abs(capture.samples) ** 2),
-            np.sum(np.abs(grid.data) ** 2),
+            np.sum(np.abs(grid) ** 2),
             rtol=1e-12,
         )
 
@@ -133,11 +136,11 @@ class TestOfdm:
         shifted = ofdm_demodulate(
             capture, params, symbol_start=params.symbol_len, n_symbols=3
         )
-        assert np.max(np.abs(shifted.data - grid.data[1:])) < 1e-9
+        assert np.max(np.abs(shifted - grid[1:])) < 1e-9
 
     def test_zero_input_gives_zero_grid(self, params):
         capture = IqCapture(np.zeros(4 * params.symbol_len), params.sample_rate)
-        assert np.all(ofdm_demodulate(capture, params).data == 0)
+        assert np.all(ofdm_demodulate(capture, params) == 0)
 
     def test_fft_too_small(self):
         grid = map_ssb(SsbConfig(cell_id=CellId.from_cell(0)))
@@ -148,6 +151,33 @@ class TestOfdm:
         capture = IqCapture(np.zeros(params.symbol_len * 2), params.sample_rate)
         with pytest.raises(ValueError):
             ofdm_demodulate(capture, params, n_symbols=3)
+
+
+@st.composite
+def numerologies(draw):
+    fft_size = draw(st.sampled_from([256, 512, 1024]))
+    return OfdmParams(fft_size=fft_size, cp_len=draw(st.integers(0, fft_size // 8)))
+
+
+class TestOfdmProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(p=numerologies(), n_symbols=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_round_trip(self, p, n_symbols, seed):
+        rng = np.random.default_rng(seed)
+        grid = (rng.standard_normal((n_symbols, 240))
+                + 1j * rng.standard_normal((n_symbols, 240)))
+        back = ofdm_demodulate(ofdm_modulate(grid, p), p, n_symbols=n_symbols)
+        assert back.shape == grid.shape
+        assert np.max(np.abs(back - grid)) <= 1e-12 * np.max(np.abs(grid))
+
+    @settings(max_examples=30, deadline=None)
+    @given(p=numerologies(), extra=st.integers(1, 64))
+    def test_rejects_non_2d_and_too_wide_grids(self, p, extra):
+        for grid in (np.ones(240, complex), np.ones((1, 4, 240), complex)):
+            with pytest.raises(ValueError, match="2-D"):
+                ofdm_modulate(grid, p)
+        with pytest.raises(ValueError, match="smaller than"):
+            ofdm_modulate(np.ones((2, p.fft_size + extra), complex), p)
 
 
 class TestReplicaSeparability:
