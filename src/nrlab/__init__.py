@@ -52,7 +52,6 @@ from .sounding import (
     cir_to_pdp,
     compensate_phase,
     deembed_pattern,
-    link_budget_range,
     sweep_to_cir,
 )
 from .types import CellId, IqCapture, OfdmParams, SsbConfig

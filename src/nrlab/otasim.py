@@ -288,7 +288,8 @@ def apply_channel(capture: IqCapture, taps: FadingRealization) -> IqCapture:
     """Tapped-delay-line convolution of a capture with a fading realization.
 
     Tap delays must land on whole samples at the capture rate; the output is
-    extended by the largest delay.
+    extended by the largest delay. The taps become one dense impulse
+    response, where taps on the same sample add, and one convolution.
     """
     delays = taps.delays * capture.sample_rate
     rounded = np.round(delays)
@@ -299,9 +300,13 @@ def apply_channel(capture: IqCapture, taps: FadingRealization) -> IqCapture:
             f"of samples at {capture.sample_rate:.6g} Hz"
         )
     shifts = rounded.astype(np.int64)
-    out = np.zeros(capture.samples.size + int(shifts.max(initial=0)), dtype=np.complex128)
-    for shift, gain in zip(shifts, taps.gains):
-        out[shift:shift + capture.samples.size] += gain * capture.samples
+    n_taps = int(shifts.max(initial=0)) + 1
+    response = (np.bincount(shifts, weights=taps.gains.real, minlength=n_taps)
+                + 1j * np.bincount(shifts, weights=taps.gains.imag, minlength=n_taps))
+    if capture.samples.size:
+        out = np.convolve(capture.samples, response)
+    else:
+        out = np.zeros(n_taps - 1, dtype=np.complex128)
     return IqCapture(
         out,
         sample_rate=capture.sample_rate,

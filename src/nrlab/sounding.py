@@ -2,19 +2,21 @@
 
 Covers the sweep-to-delay-domain transform with windowing, PDP extraction,
 pilot-based phase-drift compensation, virtual-array delay-and-sum angle of
-arrival mapping with optional antenna-pattern de-embedding, and a free-space
-link-budget helper.
+arrival mapping with optional antenna-pattern de-embedding.
 """
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
 SPEED_OF_LIGHT = 299792458.0
 PATTERN_MASK_DB = -30.0  # below this gain an angle is flagged invalid, not divided
+AOA_ANGLE_BLOCK = 16  # angles beamformed and transformed together
 
 _WINDOWS: dict[str, Callable[[int], np.ndarray]] = {
     "rectangular": np.ones,
@@ -150,21 +152,52 @@ class AoaDelayProfile:
     valid: np.ndarray
 
 
-class LinkBudget(NamedTuple):
-    range_m: float
-    feasible: bool
-
-
-def _delay_taps(h: np.ndarray, window: str, pad_factor: int) -> np.ndarray:
-    """Windowed, zero-padded inverse transform of one sweep's responses."""
+def _check_transform(window: str, pad_factor: int) -> None:
     if window not in _WINDOWS:
         raise ValueError(f"window must be one of {sorted(_WINDOWS)}, got {window!r}")
     if pad_factor < 1:
         raise ValueError(f"pad_factor must be >= 1, got {pad_factor}")
-    n = h.size
-    w = _WINDOWS[window](n)
+
+
+@lru_cache(maxsize=8)
+def _chirp_kernel(n: int, n_fft: int) -> tuple[np.ndarray, np.ndarray]:
+    """Chirp c_k = exp(j*pi*k^2/n_fft), k < n_fft, and the spectrum of its
+    conjugate at the power-of-two length L >= n + n_fft - 1.
+
+    With ik = (i^2 + k^2 - (k-i)^2)/2, sum_i x_i exp(+j*2*pi*ik/n_fft) is
+    c_k * sum_i (x_i c_i) conj(c_{k-i}): a linear convolution, done as a
+    circular one of length L (Rabiner, Schafer and Rader, 1969). k^2 is
+    reduced modulo 2*n_fft, the chirp's period, before it is scaled, so the
+    phase stays exact for large k.
+    """
+    length = 1 << (n + n_fft - 2).bit_length()
+    k = np.arange(n_fft, dtype=np.int64)
+    chirp = np.exp(1j * np.pi * ((k * k) % (2 * n_fft)) / n_fft)
+    conj = np.zeros(length, dtype=np.complex128)
+    conj[:n_fft] = chirp.conj()
+    conj[length - n + 1:] = chirp[n - 1:0:-1].conj()
+    spectrum = np.fft.fft(conj)
+    chirp.setflags(write=False)
+    spectrum.setflags(write=False)
+    return chirp, spectrum
+
+
+def _delay_taps(h: np.ndarray, window: str, pad_factor: int) -> np.ndarray:
+    """Windowed, zero-padded inverse transform along the last axis.
+
+    Returns the n_fft = pad_factor*n values (1/n) sum_i x_i exp(+j*2*pi*ik/n_fft)
+    of the window-compensated responses x, by a chirp-z transform, so the
+    cost follows a power-of-two FFT whatever the factors of n_fft.
+    """
+    _check_transform(window, pad_factor)
+    n = h.shape[-1]
     n_fft = pad_factor * n
-    return np.fft.ifft(h * w / w.mean(), n_fft) * (n_fft / n)
+    chirp, spectrum = _chirp_kernel(n, n_fft)
+    w = _WINDOWS[window](n)
+    weights = chirp[:n] * (w / (w.mean() * n))
+    conv = np.fft.fft(h * weights, spectrum.size)
+    conv *= spectrum
+    return np.fft.ifft(conv)[..., :n_fft] * chirp
 
 
 def sweep_to_cir(
@@ -244,6 +277,35 @@ def _unit_vectors(angles_deg: np.ndarray) -> np.ndarray:
     return np.stack([np.sin(rad), np.cos(rad), np.zeros_like(rad)], axis=1)
 
 
+def _beamform(
+    h: np.ndarray, freqs: np.ndarray, tau: np.ndarray, reference_freq: float | None
+) -> np.ndarray:
+    """sum_m h[m, i] * exp(+j*2*pi*f_i*tau[m, a]) for a block of angles, (n_angle, n).
+
+    On the uniform grid f_i = f_(cB) + j*df, with B = ceil(sqrt(n)) and
+    j < B, the steering phase factors into exp(j*2*pi*f_(cB)*tau) times
+    exp(j*2*pi*j*df*tau), so each element and angle takes n/B + B
+    exponentials instead of n. A narrowband reference frequency is the
+    case df = 0: one phase per element and angle, and a matrix product.
+    """
+    if reference_freq is not None:
+        return np.exp(2j * np.pi * reference_freq * tau).T @ h
+    n_elem, n = h.shape
+    step = math.isqrt(n - 1) + 1
+    n_coarse = -(-n // step)
+    df = (freqs[-1] - freqs[0]) / (n - 1)
+    coarse = np.exp(2j * np.pi * tau[:, :, None] * freqs[None, None, ::step])
+    fine = np.exp(2j * np.pi * tau[:, :, None] * (df * np.arange(step)))
+    padded = np.zeros((n_elem, n_coarse * step), dtype=np.complex128)
+    padded[:, :n] = h
+    # einsum sums over elements into one (n_angle, n_coarse, B) output and
+    # forms no (n_elem, n_angle, n) steering tensor
+    combined = np.einsum(
+        "mac,maj,mcj->acj", coarse, fine, padded.reshape(n_elem, n_coarse, step)
+    )
+    return combined.reshape(tau.shape[1], -1)[:, :n]
+
+
 def aoa_delay_profile(
     scan: VirtualArrayScan,
     angle_grid_deg: np.ndarray,
@@ -261,11 +323,15 @@ def aoa_delay_profile(
     pattern gain is below PATTERN_MASK_DB are flagged invalid and left NaN.
     With reference_freq set, the steering phase uses that single frequency
     for every point (narrowband approximation) instead of the per-point
-    frequency.
+    frequency. Valid angles are beamformed and transformed AOA_ANGLE_BLOCK
+    at a time.
     """
     angles = np.asarray(angle_grid_deg, dtype=np.float64)
     if angles.ndim != 1 or angles.size < 1:
         raise ValueError("angle grid must be a non-empty 1-D array")
+    _check_transform(window, pad_factor)
+    if reference_freq is not None and not (np.isfinite(reference_freq) and reference_freq > 0):
+        raise ValueError(f"reference_freq must be finite and > 0, got {reference_freq}")
     if scan.element_positions.shape[0] < 2:
         raise ValueError("beamforming needs at least 2 elements")
     if scan.compensate_pattern and scan.pattern is None:
@@ -282,42 +348,22 @@ def aoa_delay_profile(
             raise ValueError("every angle fell below the pattern mask")
 
     freqs = scan.freqs
-    steer_freqs = np.full_like(freqs, reference_freq) if reference_freq else freqs
     h = np.stack([s.h for s in scan.sweeps])  # (n_elem, n_freq)
     directions = _unit_vectors(angles)  # (n_angle, 3)
     delays_m = scan.element_positions @ directions.T / SPEED_OF_LIGHT  # (n_elem, n_angle)
 
     n_fft = pad_factor * freqs.size
     power = np.full((angles.size, n_fft), np.nan)
-    for a in np.flatnonzero(valid):
-        steering = np.exp(2j * np.pi * steer_freqs[None, :] * delays_m[:, a, None])
-        combined = (h * steering).sum(axis=0)
+    valid_rows = np.flatnonzero(valid)
+    for start in range(0, valid_rows.size, AOA_ANGLE_BLOCK):
+        rows = valid_rows[start:start + AOA_ANGLE_BLOCK]
+        combined = _beamform(h, freqs, delays_m[:, rows], reference_freq)
         if gains is not None:
-            combined = combined / gains[a]
-        power[a] = np.abs(_delay_taps(combined, window, pad_factor))
+            combined /= gains[rows, None]
+        power[rows] = np.abs(_delay_taps(combined, window, pad_factor))
 
     peak = np.nanmax(power)
     with np.errstate(divide="ignore", invalid="ignore"):
         power_db = 20.0 * np.log10(power / peak)
     delays = np.arange(n_fft) * (1.0 / (n_fft * float(freqs[1] - freqs[0])))
     return AoaDelayProfile(angles_deg=angles, delays=delays, power_db=power_db, valid=valid)
-
-
-def link_budget_range(
-    tx_power_dbm: float,
-    gains_dbi: float,
-    freq: float,
-    noise_floor_dbm: float,
-) -> LinkBudget:
-    """Largest free-space distance at which the received power clears the floor.
-
-    Friis path loss 20*log10(4*pi*d*f/c); an infeasible link (negative margin
-    even at the unit-path-loss distance) returns range 0 with feasible=False.
-    """
-    if freq <= 0:
-        raise ValueError(f"freq must be > 0, got {freq}")
-    margin_db = tx_power_dbm + gains_dbi - noise_floor_dbm
-    if margin_db < 0:
-        return LinkBudget(0.0, False)
-    d = SPEED_OF_LIGHT / (4.0 * np.pi * freq) * 10.0 ** (margin_db / 20.0)
-    return LinkBudget(float(d), True)

@@ -302,7 +302,52 @@ class TestCancelRcDecay:
             cancel_rc_decay(exp_decay_cir(n_bins=128), exp_decay_cir(n_bins=256), 1e-6)
 
 
+def tap_loop_channel(capture, taps):
+    """apply_channel as one shifted pass of the capture per tap."""
+    shifts = np.round(taps.delays * capture.sample_rate).astype(np.int64)
+    out = np.zeros(capture.samples.size + int(shifts.max(initial=0)), dtype=np.complex128)
+    for shift, gain in zip(shifts, taps.gains):
+        out[shift:shift + capture.samples.size] += gain * capture.samples
+    return out
+
+
 class TestApplyChannel:
+    def test_matches_tap_loop(self):
+        spacing = 1e-6
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            x = rng.standard_normal(5000) + 1j * rng.standard_normal(5000)
+            capture = IqCapture(x, 1.0 / spacing)
+            fading = simulate_rc_channel(RcChannelModel(
+                tau_rc=8 * spacing, n_taps=32, tap_spacing=spacing, keyhole=True, seed=seed))
+            want = tap_loop_channel(capture, fading)
+            got = apply_channel(capture, fading).samples
+            assert got.size == want.size == x.size + 31
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_taps_on_one_sample_add(self):
+        # both delays round to sample 2: their gains add
+        capture = IqCapture(np.arange(1, 9, dtype=complex), 1e6)
+        taps = FadingRealization(
+            delays=np.array([2e-6, 2e-6 + 1e-13]), gains=np.array([0.5 + 1j, -2.0 + 0.25j]))
+        out = apply_channel(capture, taps)
+        assert out.samples.size == 10
+        assert_allclose(out.samples, tap_loop_channel(capture, taps), rtol=1e-15)
+        assert_allclose(out.samples[2:], (-1.5 + 1.25j) * capture.samples, rtol=1e-15)
+        assert np.all(out.samples[:2] == 0)
+
+    def test_zero_delay_only(self):
+        capture = IqCapture(np.exp(0.3j * np.arange(16)), 1e6)
+        taps = FadingRealization(delays=np.array([0.0]), gains=np.array([0.6 - 0.8j]))
+        out = apply_channel(capture, taps)
+        assert out.samples.size == 16
+        assert_allclose(out.samples, (0.6 - 0.8j) * capture.samples, rtol=1e-15)
+
+    def test_empty_capture(self):
+        taps = FadingRealization(delays=np.array([0.0, 3e-6]), gains=np.array([1.0, 0.5j]))
+        out = apply_channel(IqCapture(np.zeros(0, complex), 1e6), taps)
+        assert_array_equal(out.samples, np.zeros(3, complex))
+
     def test_identity_tap(self):
         capture = IqCapture(np.arange(10, dtype=complex), 1e6)
         taps = FadingRealization(delays=np.array([0.0]), gains=np.array([1.0 + 0j]))
