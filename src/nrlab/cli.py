@@ -334,6 +334,11 @@ def cmd_sound(cfg: dict) -> int:
         if cfg["deembed"]:
             scan = deembed_pattern(scan)
         step = cfg["angle_step"]
+        if not (step > 0 and np.isfinite([cfg["angle_start"], cfg["angle_stop"], step]).all()):
+            raise ValueError(
+                f"angle grid needs a finite start and stop and a finite step > 0, got "
+                f"{cfg['angle_start']}:{cfg['angle_stop']}:{step}"
+            )
         angles = np.arange(cfg["angle_start"], cfg["angle_stop"] + step / 2.0, step)
         profile = aoa_delay_profile(scan, angles, window=cfg["window"], pad_factor=cfg["pad"])
         cfg["aoa_out"] = cfg["aoa_out"] or cfg["input"][0] + ".aoa.csv"

@@ -50,7 +50,7 @@ class ExposureReport:
     n_re_total: int
     duty: float
     uncertainty: UncertaintyBudget
-    target_check: TargetCheck | None = None
+    target_check: TargetCheck
 
 
 @lru_cache(maxsize=8)  # the SSB indices of one cell
@@ -173,17 +173,14 @@ def build_report(
     per_signal_power: dict[str, float],
     n_re_total: int,
     duty: float,
-    mode: str | None = None,
+    mode: str,
     components=DEFAULT_UNCERTAINTY_COMPONENTS,
     coverage_factor: float = 2.0,
-    reference_class: str = "sss",
 ) -> ExposureReport:
-    """Assemble the full exposure report from measured per-class powers."""
-    linear, db = extrapolate_exposure(
-        per_signal_power[reference_class], n_re_total, duty
-    )
+    """Assemble the exposure report: extrapolate from the SSS power and check
+    the budget against the target of the mode."""
+    linear, db = extrapolate_exposure(per_signal_power["sss"], n_re_total, duty)
     budget = combine_uncertainty(components, coverage_factor)
-    check = check_targets(budget, mode) if mode is not None else None
     return ExposureReport(
         per_signal_re_power=dict(per_signal_power),
         extrapolated_power=linear,
@@ -191,5 +188,5 @@ def build_report(
         n_re_total=n_re_total,
         duty=duty,
         uncertainty=budget,
-        target_check=check,
+        target_check=check_targets(budget, mode),
     )

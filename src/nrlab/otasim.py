@@ -7,7 +7,7 @@ response, and tapped-delay-line channel application to captures.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -84,10 +84,6 @@ class FadingRealization:
             raise ValueError("delays must be nonnegative")
         if np.any(np.diff(self.delays) <= 0):
             raise ValueError("delays must be strictly increasing")
-
-    @property
-    def taps(self) -> list[tuple[float, complex]]:
-        return list(zip(self.delays.tolist(), self.gains.tolist()))
 
 
 def random_well_conditioned(n_ports: int, rng=None) -> TransferMatrix:
@@ -307,12 +303,7 @@ def apply_channel(capture: IqCapture, taps: FadingRealization) -> IqCapture:
         out = np.convolve(capture.samples, response)
     else:
         out = np.zeros(n_taps - 1, dtype=np.complex128)
-    return IqCapture(
-        out,
-        sample_rate=capture.sample_rate,
-        center_freq=capture.center_freq,
-        scale=capture.scale,
-    )
+    return replace(capture, samples=out)
 
 
 def awgn(capture: IqCapture, noise_power: float, rng=None) -> IqCapture:
@@ -330,9 +321,4 @@ def awgn(capture: IqCapture, noise_power: float, rng=None) -> IqCapture:
     out.imag = gen.standard_normal(n)
     out *= np.sqrt(noise_power / 2.0)
     out += capture.samples
-    return IqCapture(
-        out,
-        sample_rate=capture.sample_rate,
-        center_freq=capture.center_freq,
-        scale=capture.scale,
-    )
+    return replace(capture, samples=out)

@@ -101,14 +101,9 @@ class AntennaPattern:
         if self.gain.shape != self.angles_deg.shape:
             raise ValueError("pattern gain length differs from angles")
 
-    def covers(self, angles_deg: np.ndarray) -> bool:
-        return bool(
-            np.min(angles_deg) >= self.angles_deg[0]
-            and np.max(angles_deg) <= self.angles_deg[-1]
-        )
-
     def gain_at(self, angles_deg: np.ndarray) -> np.ndarray:
-        if not self.covers(np.asarray(angles_deg)):
+        if not (np.min(angles_deg) >= self.angles_deg[0]
+                and np.max(angles_deg) <= self.angles_deg[-1]):
             raise ValueError("pattern table does not cover the requested angles")
         re = np.interp(angles_deg, self.angles_deg, self.gain.real)
         im = np.interp(angles_deg, self.angles_deg, self.gain.imag)
@@ -136,6 +131,8 @@ class VirtualArrayScan:
         for s in self.sweeps[1:]:
             if s.freqs.shape != f0.shape or np.any(s.freqs != f0):
                 raise ValueError("all sweeps must share the frequency grid")
+        if self.compensate_pattern and self.pattern is None:
+            raise ValueError("pattern compensation needs a scan with an antenna pattern")
 
     @property
     def freqs(self) -> np.ndarray:
@@ -152,11 +149,18 @@ class AoaDelayProfile:
     valid: np.ndarray
 
 
-def _check_transform(window: str, pad_factor: int) -> None:
+def _check_transform(window: str, pad_factor: int, n: int) -> None:
+    """Reject an unknown window, a pad factor below 1, and a window whose
+    coherent gain over n points is zero (Hann over 2 points is [0, 0])."""
     if window not in _WINDOWS:
         raise ValueError(f"window must be one of {sorted(_WINDOWS)}, got {window!r}")
     if pad_factor < 1:
         raise ValueError(f"pad_factor must be >= 1, got {pad_factor}")
+    if not _WINDOWS[window](n).any():
+        raise ValueError(
+            f"a {window} window over {n} points is all zeros; "
+            "the sweep needs more points or another window"
+        )
 
 
 @lru_cache(maxsize=8)
@@ -189,8 +193,8 @@ def _delay_taps(h: np.ndarray, window: str, pad_factor: int) -> np.ndarray:
     of the window-compensated responses x, by a chirp-z transform, so the
     cost follows a power-of-two FFT whatever the factors of n_fft.
     """
-    _check_transform(window, pad_factor)
     n = h.shape[-1]
+    _check_transform(window, pad_factor, n)
     n_fft = pad_factor * n
     chirp, spectrum = _chirp_kernel(n, n_fft)
     w = _WINDOWS[window](n)
@@ -264,10 +268,9 @@ def deembed_pattern(scan: VirtualArrayScan) -> VirtualArrayScan:
     inside aoa_delay_profile: each beamformed response is divided by the
     complex pattern gain at its hypothesis angle, and angles whose gain
     magnitude falls below the mask threshold are flagged invalid instead of
-    being amplified.
+    being amplified. A scan without a pattern is rejected when the marked
+    copy is built.
     """
-    if scan.pattern is None:
-        raise ValueError("scan carries no antenna pattern to de-embed")
     return dataclasses.replace(scan, compensate_pattern=True)
 
 
@@ -277,19 +280,14 @@ def _unit_vectors(angles_deg: np.ndarray) -> np.ndarray:
     return np.stack([np.sin(rad), np.cos(rad), np.zeros_like(rad)], axis=1)
 
 
-def _beamform(
-    h: np.ndarray, freqs: np.ndarray, tau: np.ndarray, reference_freq: float | None
-) -> np.ndarray:
+def _beamform(h: np.ndarray, freqs: np.ndarray, tau: np.ndarray) -> np.ndarray:
     """sum_m h[m, i] * exp(+j*2*pi*f_i*tau[m, a]) for a block of angles, (n_angle, n).
 
     On the uniform grid f_i = f_(cB) + j*df, with B = ceil(sqrt(n)) and
     j < B, the steering phase factors into exp(j*2*pi*f_(cB)*tau) times
     exp(j*2*pi*j*df*tau), so each element and angle takes n/B + B
-    exponentials instead of n. A narrowband reference frequency is the
-    case df = 0: one phase per element and angle, and a matrix product.
+    exponentials instead of n.
     """
-    if reference_freq is not None:
-        return np.exp(2j * np.pi * reference_freq * tau).T @ h
     n_elem, n = h.shape
     step = math.isqrt(n - 1) + 1
     n_coarse = -(-n // step)
@@ -309,7 +307,6 @@ def _beamform(
 def aoa_delay_profile(
     scan: VirtualArrayScan,
     angle_grid_deg: np.ndarray,
-    reference_freq: float | None = None,
     window: str = "hann",
     pad_factor: int = 4,
 ) -> AoaDelayProfile:
@@ -321,23 +318,14 @@ def aoa_delay_profile(
     and its magnitude fills that angle's row of the map, which is globally
     normalized to a 0 dB peak. With pattern compensation, angles whose
     pattern gain is below PATTERN_MASK_DB are flagged invalid and left NaN.
-    With reference_freq set, the steering phase uses that single frequency
-    for every point (narrowband approximation) instead of the per-point
-    frequency. Valid angles are beamformed and transformed AOA_ANGLE_BLOCK
-    at a time.
+    Valid angles are beamformed and transformed AOA_ANGLE_BLOCK at a time.
     """
     angles = np.asarray(angle_grid_deg, dtype=np.float64)
     if angles.ndim != 1 or angles.size < 1:
         raise ValueError("angle grid must be a non-empty 1-D array")
-    _check_transform(window, pad_factor)
-    if reference_freq is not None and not (np.isfinite(reference_freq) and reference_freq > 0):
-        raise ValueError(f"reference_freq must be finite and > 0, got {reference_freq}")
+    _check_transform(window, pad_factor, scan.freqs.size)
     if scan.element_positions.shape[0] < 2:
         raise ValueError("beamforming needs at least 2 elements")
-    if scan.compensate_pattern and scan.pattern is None:
-        raise ValueError("pattern compensation requested but no pattern present")
-    if scan.compensate_pattern and not scan.pattern.covers(angles):
-        raise ValueError("pattern table does not cover the angle grid")
 
     gains = None
     valid = np.ones(angles.size, dtype=bool)
@@ -357,7 +345,7 @@ def aoa_delay_profile(
     valid_rows = np.flatnonzero(valid)
     for start in range(0, valid_rows.size, AOA_ANGLE_BLOCK):
         rows = valid_rows[start:start + AOA_ANGLE_BLOCK]
-        combined = _beamform(h, freqs, delays_m[:, rows], reference_freq)
+        combined = _beamform(h, freqs, delays_m[:, rows])
         if gains is not None:
             combined /= gains[rows, None]
         power[rows] = np.abs(_delay_taps(combined, window, pad_factor))

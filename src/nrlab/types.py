@@ -127,7 +127,3 @@ class IqCapture:
 
     def __len__(self) -> int:
         return self.samples.size
-
-    @property
-    def duration(self) -> float:
-        return self.samples.size / self.sample_rate

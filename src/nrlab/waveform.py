@@ -109,7 +109,6 @@ def ofdm_demodulate(
     params: OfdmParams,
     symbol_start: int = 0,
     n_symbols: int | None = None,
-    n_subcarriers: int = N_SSB_SUBCARRIERS,
 ) -> np.ndarray:
     """Inverse of ofdm_modulate: strip CPs, forward-transform, extract center bins.
 
@@ -120,12 +119,12 @@ def ofdm_demodulate(
         n_symbols: symbols to demodulate; None takes every full symbol that fits.
 
     Returns:
-        The (n_symbols, n_subcarriers) complex grid.
+        The (n_symbols, 240) complex grid.
 
     Raises:
         ValueError: fewer samples available than the requested symbols need.
     """
-    bins = _subcarrier_bins(n_subcarriers, params.fft_size)
+    bins = _subcarrier_bins(N_SSB_SUBCARRIERS, params.fft_size)
     x = capture.samples
     if symbol_start < 0:
         raise ValueError(f"symbol_start must be >= 0, got {symbol_start}")

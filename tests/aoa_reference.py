@@ -34,13 +34,10 @@ def reference_sweep_to_cir(sweep, window="hann", pad_factor=4):
     )
 
 
-def reference_aoa_delay_profile(
-    scan, angle_grid_deg, reference_freq=None, window="hann", pad_factor=4
-):
+def reference_aoa_delay_profile(scan, angle_grid_deg, window="hann", pad_factor=4):
     """The per-angle map: rows stacked after the loop, masked rows NaN."""
     angles = np.asarray(angle_grid_deg, dtype=np.float64)
     freqs = scan.freqs
-    steer_freqs = np.full_like(freqs, reference_freq) if reference_freq else freqs
     h = np.stack([s.h for s in scan.sweeps])
     directions = _unit_vectors(angles)
     delays_m = scan.element_positions @ directions.T / SPEED_OF_LIGHT
@@ -54,7 +51,7 @@ def reference_aoa_delay_profile(
     valid = np.ones(angles.size, dtype=bool)
     delays_axis = None
     for a in range(angles.size):
-        steering = np.exp(2j * np.pi * steer_freqs[None, :] * delays_m[:, a, None])
+        steering = np.exp(2j * np.pi * freqs[None, :] * delays_m[:, a, None])
         combined = (h * steering).sum(axis=0)
         if gains is not None:
             if np.abs(gains[a]) < mask_lin:

@@ -186,7 +186,8 @@ class TestSound:
         assert float(first[0]) == 0.0
         assert float(first[1]) == 0.0
 
-    def test_aoa_broadside(self, tmp_path):
+    def make_broadside_scan(self, tmp_path):
+        """Eight element sweeps of a broadside path and their geometry file."""
         n, df = 101, 10e6
         freqs = 100e9 + df * np.arange(n)
         c = 299792458.0
@@ -201,6 +202,10 @@ class TestSound:
             p = tmp_path / f"el{m}.csv"
             write_sweep_csv(p, FrequencySweep(freqs=freqs, h=h))
             paths.append(p)
+        return paths, geo
+
+    def test_aoa_broadside(self, tmp_path):
+        paths, geo = self.make_broadside_scan(tmp_path)
         aoa_out = tmp_path / "aoa.csv"
         assert run(
             "sound", "--in", *paths, "--aoa", "--geometry", geo,
@@ -220,6 +225,31 @@ class TestSound:
         cfg.write_text(json.dumps({"input": str(sweep_path), "pad": 2.0}))
         assert run("sound", "--config", cfg) == EXIT_OK
         assert (tmp_path / "sweep.csv.pdp.csv").exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--angle-step", 0), ("--angle-step", -1), ("--angle-step", "nan"),
+        ("--angle-start", "inf"), ("--angle-stop", "nan"),
+    ])
+    def test_bad_angle_grid_exit_1(self, tmp_path, capsys, flag, value):
+        paths, geo = self.make_broadside_scan(tmp_path)
+        aoa_out = tmp_path / "aoa.csv"
+        assert run(
+            "sound", "--in", *paths, "--aoa", "--geometry", geo, flag, value,
+            "--out", tmp_path / "pdp.csv", "--aoa-out", aoa_out,
+        ) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert "error: angle grid needs a finite start and stop and a finite step > 0" in err
+        assert "Traceback" not in err
+        assert not aoa_out.exists()
+
+    def test_two_point_sweep_with_hann_exit_1(self, tmp_path, capsys):
+        sweep_path = tmp_path / "two.csv"
+        write_sweep_csv(sweep_path, FrequencySweep(freqs=[1e9, 1.001e9], h=[1.0, 0.5j]))
+        out = tmp_path / "pdp.csv"
+        assert run("sound", "--in", sweep_path, "--out", out) == EXIT_ERROR
+        assert "error: a hann window over 2 points is all zeros" in capsys.readouterr().err
+        assert not out.exists()
+        assert run("sound", "--in", sweep_path, "--out", out, "--window", "hamming") == EXIT_OK
 
     def test_wrong_element_count(self, tmp_path):
         sweep_path = tmp_path / "sweep.csv"
