@@ -315,12 +315,12 @@ def cmd_sound(cfg: dict) -> int:
             sweep = compensate_phase(sweep)
         sweeps.append(sweep)
 
+    # Both outputs are built, and both locations checked, before either file
+    # is written, so a run that fails leaves no file behind.
     cfg["out"] = cfg["out"] or cfg["input"][0] + ".pdp.csv"
     _check_writable(cfg["out"])
     pdp = cir_to_pdp(sweep_to_cir(sweeps[0], window=cfg["window"], pad_factor=cfg["pad"]))
-    write_pdp_csv(cfg["out"], pdp)
-    LOG.info("PDP written to %s (noise floor %.2f dB)", cfg["out"], pdp.noise_floor_db)
-
+    profile = None
     if cfg["aoa"]:
         if cfg["geometry"] is None:
             raise ValueError("--geometry is required with --aoa")
@@ -343,6 +343,10 @@ def cmd_sound(cfg: dict) -> int:
         profile = aoa_delay_profile(scan, angles, window=cfg["window"], pad_factor=cfg["pad"])
         cfg["aoa_out"] = cfg["aoa_out"] or cfg["input"][0] + ".aoa.csv"
         _check_writable(cfg["aoa_out"])
+
+    write_pdp_csv(cfg["out"], pdp)
+    LOG.info("PDP written to %s (noise floor %.2f dB)", cfg["out"], pdp.noise_floor_db)
+    if profile is not None:
         write_aoa_csv(cfg["aoa_out"], profile)
         LOG.info("AoA-delay map written to %s", cfg["aoa_out"])
     return EXIT_OK

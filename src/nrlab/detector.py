@@ -10,9 +10,14 @@ running |x|^2 sum carried from the group before, and all hypotheses share one
 set of group-sized product, magnitude and comparison buffers. Of each group's
 lags only the runs at or above the threshold, with a neighbour either side,
 are kept for peak picking, so the scan's memory is bounded by the group, not
-the capture. The winning bin is refined by the phase slope between the two
-halves of the matched symbol, against a bin-shifted replica cached per
-sector and bin.
+the capture. Each group is first screened in single precision: every
+hypothesis runs through complex64 transforms, and a sector takes the exact,
+double-precision pass only where the screen, widened by a proven bound on
+its rounding error, could reach the threshold. A sector that cannot keeps
+only the group's first and last lag, which lie below the threshold, so
+every lag at or above it is scored by the exact pass. The winning bin is
+refined by the phase slope between the two halves of the matched symbol,
+against a bin-shifted replica cached per sector and bin.
 Each burst is then demodulated once, its 4 symbols derotated and transformed
 in one call, and its grid feeds the frequency-domain matched correlations of
 the SSS and DM-RS stages against hypothesis banks cached per sector and cell.
@@ -20,6 +25,7 @@ the SSS and DM-RS stages against hypothesis banks cached per sector and cell.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -44,9 +50,28 @@ DEFAULT_PSS_THRESHOLD = 0.35
 DEFAULT_MAX_CFO_BINS = 2
 
 # Overlap-save blocks per PSS scan group. At the default numerology the scan
-# then peaks at about 3.3 MB of traced memory, whatever the capture length.
-# Smaller groups pay Python overhead per group and hypothesis.
+# then peaks at about 3.3 MB of traced memory, whatever the capture length:
+# the exact pass's buffers set the peak, and the single-precision screen
+# works inside them. Smaller groups pay Python overhead per group and
+# hypothesis.
 _SCAN_GROUP = 16
+
+# Headroom of the single-precision screen's error bound (see _screen_bounds).
+# Higham, Accuracy and Stability of Numerical Algorithms (2nd ed., 2002),
+# Thm 24.2: a radix-2 FFT of length L in unit roundoff u with accurate
+# twiddles errs by at most log2(L) * eta / (1 - log2(L) * eta) of its
+# output's 2-norm, eta = mu + gamma_4 (sqrt(2) + mu), about 6.7u. The
+# forward transform's error reaches a lag through the product with S
+# (at most max|S|) and the inverse transform (2-norm scaled by 1/sqrt(L)),
+# and the inverse adds its own; rounding x and S to complex64, the complex
+# product and |.| add about 3.4u. A lag of the screen is then off by at
+# most (2 * 6.7 * log2(L) + 3.4) u max|S| ||x_b||_2, under 8 eps32 log2(L)
+# max|S| ||x_b||_2 with eps32 = 2u, as a 2-norm bounds every entry and the
+# maximum over CFO bins errs no more than its worst bin. 64 leaves 8x on
+# that; the largest errors measured on seeded dense, sparse and 80 dB
+# dynamic-range captures were 0.014 to 0.037 of the bound taken with 1 in
+# place of 64.
+_SCREEN_MARGIN = 64
 
 
 @dataclass(frozen=True)
@@ -159,6 +184,31 @@ def _pss_replica_spectra(params: OfdmParams) -> np.ndarray:
     return spectra
 
 
+@lru_cache(maxsize=8)
+def _screen_spectra(params: OfdmParams) -> tuple[np.ndarray, np.ndarray]:
+    """The replica spectra times L, rounded to complex64, shape (3, L), and
+    the largest magnitude of each sector's spectrum, shape (3,).
+
+    The factor L undoes the 1/L of the screen's forward transform: np.fft
+    runs a complex64 forward transform in single precision only when it
+    is given a single-precision scale factor, as with norm="forward".
+    Both are powers of two, so the products are those of the unscaled
+    spectra.
+    """
+    spectra = _pss_replica_spectra(params)
+    rounded = (spectra * spectra.shape[1]).astype(np.complex64)
+    peak = np.abs(spectra).max(axis=1)
+    rounded.setflags(write=False)
+    peak.setflags(write=False)
+    return rounded, peak
+
+
+def _half_view(buf: np.ndarray, dtype: type) -> np.ndarray:
+    """The first half of a contiguous buffer's memory as `dtype`, half as
+    wide, in the buffer's shape."""
+    return buf.reshape(-1).view(dtype)[:buf.size].reshape(buf.shape)
+
+
 def _find_peaks(
     x: np.ndarray, lags: np.ndarray, height: float, distance: int
 ) -> np.ndarray:
@@ -208,6 +258,59 @@ def _kept_lags(metric: np.ndarray, threshold: float) -> np.ndarray:
     return keep
 
 
+def _screen_bounds(blocks: np.ndarray, params: OfdmParams) -> np.ndarray:
+    """delta[n2, b]: the most the single-precision screen of sector n2 can be
+    off at any lag of block b, shape (3, n_blocks).
+
+    delta = _SCREEN_MARGIN * eps32 * log2(L) * max|S_n2| * (||x_b||_2 + L * tiny32),
+    with L the block length, S_n2 the sector's replica spectrum and tiny32
+    the smallest normal float32. The L * tiny32 term bounds, with room, the
+    absolute errors of results below single precision's normal range, which
+    the relative bound does not cover.
+    """
+    block = blocks.shape[1]
+    flat = blocks.view(np.float64)
+    norm = np.sqrt(np.einsum("ij,ij->i", flat, flat))
+    f32 = np.finfo(np.float32)
+    norm += block * f32.tiny
+    norm *= _SCREEN_MARGIN * f32.eps * (block.bit_length() - 1)
+    return np.outer(_screen_spectra(params)[1], norm)
+
+
+def _screened(
+    blocks: np.ndarray,
+    params: OfdmParams,
+    max_cfo_bins: int,
+    prod: np.ndarray,
+    mag: np.ndarray,
+    out: np.ndarray,
+) -> Iterator[np.ndarray]:
+    """The single-precision screen of a group of blocks: yields `out`,
+    shape (n_blocks, step), for sectors n2 = 0, 1, 2 in turn, holding the
+    maximum over the CFO bins of the correlation magnitude on each block's
+    first `step` lags.
+
+    `prod` (complex64, the blocks' shape) and `mag` (float32, `out`'s
+    shape) are work buffers; `out` is overwritten for the next sector.
+    """
+    block = blocks.shape[1]
+    step = out.shape[1]
+    bin_shift = block // params.fft_size
+    rolled = np.empty(block, dtype=np.complex64)
+    np.copyto(prod, blocks)
+    x_spec = np.fft.fft(prod, axis=1, norm="forward")
+    for spectrum in _screen_spectra(params)[0]:
+        out.fill(0.0)
+        for k in range(-max_cfo_bins, max_cfo_bins + 1):
+            shift = k * bin_shift % block  # rolled = np.roll(spectrum, k * bin_shift)
+            rolled[shift:] = spectrum[:block - shift]
+            rolled[:shift] = spectrum[block - shift:]
+            np.multiply(x_spec, rolled, out=prod)
+            np.abs(np.fft.ifft(prod, axis=1)[:, :step], out=mag)
+            np.maximum(out, mag, out=out)
+        yield out
+
+
 def _pss_scan(
     x: np.ndarray, params: OfdmParams, max_cfo_bins: int, threshold: float
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -220,6 +323,14 @@ def _pss_scan(
     (most negative) wins. It is computed by overlap-save, as the module
     docstring describes, _SCAN_GROUP blocks at a time; of each group's lags
     only those that `_kept_lags` marks are returned.
+
+    Each group is first screened in single precision. A sector's exact,
+    double-precision pass runs only if at some lag with nonzero energy the
+    screen plus its bound `_screen_bounds` reaches threshold * denominator.
+    Otherwise no lag of the group can reach the threshold, and only the
+    group's first and last lag are returned, with the screened metric and
+    bin 0: below the threshold, they pick the same peaks as the exact
+    values would.
     """
     length = params.symbol_len
     n_lags = x.size - length + 1
@@ -236,6 +347,8 @@ def _pss_scan(
 
     # Buffers shared by every group and hypothesis. The inverse transform
     # still allocates its output: np.fft takes no out= before numpy 2.0.
+    # The screen works in the first half of the exact pass's product,
+    # magnitude and peak buffers, and is done with them before that pass.
     group = min(_SCAN_GROUP, n_blocks)
     prod_buf = np.empty((group, block), dtype=np.complex128)
     mag_buf = np.empty((group, step))
@@ -243,6 +356,9 @@ def _pss_scan(
     k_buf = np.empty(group * step, dtype=np.int64)
     better_buf = np.empty(group * step, dtype=bool)
     metric_buf = np.empty(group * step)
+    prod32_buf = _half_view(prod_buf, np.complex64)
+    mag32_buf = _half_view(mag_buf, np.float32)
+    screen_buf = _half_view(peak_buf, np.float32).reshape(group, step)
 
     kept: list[list[tuple[np.ndarray, ...]]] = [[], [], []]
     carry = 0.0  # sum of |x|^2 before the group's first lag
@@ -254,9 +370,7 @@ def _pss_scan(
         span = x[lo:lo + width]
         if span.size < width:
             span = np.concatenate((span, np.zeros(width - span.size)))
-        x_spec = np.fft.fft(
-            np.lib.stride_tricks.sliding_window_view(span, block)[::step], axis=1
-        )
+        blocks = np.lib.stride_tricks.sliding_window_view(span, block)[::step]
 
         # Running sum seeded with the carry: the same sequential additions,
         # so the same values, as one cumsum over the whole capture.
@@ -267,12 +381,43 @@ def _pss_scan(
         carry = csum[n]
         window_energy = csum[length:] - csum[:-length]
 
+        # Screen every sector before any exact pass. A sample beyond single
+        # precision's range makes the screen inf or NaN, which fails the
+        # `slack > delta` test and so takes the exact pass.
+        exact = []
+        slack = metric_buf[:n]
+        with np.errstate(over="ignore", invalid="ignore"):
+            delta = _screen_bounds(blocks, params)
+            for n2, screened in enumerate(_screened(
+                blocks, params, max_cfo_bins,
+                prod32_buf[:n_b], mag32_buf[:n_b], screen_buf[:n_b],
+            )):
+                peak = screened.reshape(-1)[:n]
+                np.multiply(window_energy, ref_energy[n2], out=slack)
+                np.sqrt(slack, out=slack)  # the exact pass's denominators
+                np.multiply(slack, threshold, out=slack)
+                slack[slack <= 0] = np.inf  # a window without energy scores 0
+                np.subtract(slack, peak, out=slack)
+                if not np.all(np.minimum.reduceat(slack, np.arange(0, n, step))
+                              > delta[n2, :n_b]):
+                    exact.append(n2)
+                    continue
+                ends = np.array(sorted({0, n - 1}))
+                denom = np.sqrt(window_energy[ends] * ref_energy[n2])
+                metric = np.divide(peak[ends], denom, out=np.zeros(ends.size),
+                                   where=denom > 0)
+                kept[n2].append((lo + ends, metric, np.zeros(ends.size, dtype=np.int64)))
+        if not exact:
+            continue
+
+        x_spec = np.fft.fft(blocks, axis=1)
         prod = prod_buf[:n_b]
         block_mag = mag_buf[:n_b]
         mag = block_mag.reshape(-1)[:n]
         peak_corr, k_best = peak_buf[:n], k_buf[:n]
         better, metric = better_buf[:n], metric_buf[:n]
-        for n2, spectrum in enumerate(_pss_replica_spectra(params)):
+        for n2 in exact:
+            spectrum = _pss_replica_spectra(params)[n2]
             peak_corr.fill(0.0)
             k_best.fill(0)
             for k in range(-max_cfo_bins, max_cfo_bins + 1):

@@ -251,6 +251,28 @@ class TestSound:
         assert not out.exists()
         assert run("sound", "--in", sweep_path, "--out", out, "--window", "hamming") == EXIT_OK
 
+    @pytest.mark.parametrize("case", ["angle-step-0", "deembed-no-pattern",
+                                      "grid-wider-than-pattern"])
+    def test_failed_aoa_run_writes_no_file(self, tmp_path, capsys, case):
+        paths, geo = self.make_broadside_scan(tmp_path)
+        extra, message = {
+            "angle-step-0": (["--angle-step", 0], "angle grid needs"),
+            "deembed-no-pattern": (["--deembed"], "needs a scan with an antenna pattern"),
+            "grid-wider-than-pattern": (["--deembed"], "does not cover the requested angles"),
+        }[case]
+        if case == "grid-wider-than-pattern":
+            geometry = json.loads(geo.read_text())
+            geometry["pattern"] = [[a, 0.0, 0.0] for a in (-30.0, 0.0, 30.0)]
+            geo.write_text(json.dumps(geometry))
+        out, aoa_out = tmp_path / "pdp.csv", tmp_path / "aoa.csv"
+        assert run(
+            "sound", "--in", *paths, "--aoa", "--geometry", geo, *extra,
+            "--out", out, "--aoa-out", aoa_out,
+        ) == EXIT_ERROR
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+        assert not aoa_out.exists()
+
     def test_wrong_element_count(self, tmp_path):
         sweep_path = tmp_path / "sweep.csv"
         self.make_two_path_sweep(sweep_path)

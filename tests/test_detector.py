@@ -18,6 +18,7 @@ from nrlab import (
     enumerate_ssb_bursts,
     identify_ssb_index,
     map_ssb,
+    ssb_waveform,
     synthesize_bursts,
 )
 from nrlab import detector
@@ -27,7 +28,11 @@ from nrlab.detector import (
     _find_peaks,
     _fractional_cfo,
     _kept_lags,
+    _pss_replica_spectra,
     _pss_replicas,
+    _scan_block_len,
+    _screen_bounds,
+    _screened,
     _sss_from_grid,
 )
 from nrlab.otasim import awgn
@@ -261,6 +266,116 @@ class TestPssScanReference:
         best, k = max(whole, key=lambda ck: ck[0].metric)
         assert (best.n2, best.timing, k) == (cfg.cell_id.n2, 3000, 130)
         assert abs(best.cfo - 130 * p512.scs) < 0.05 * p512.scs
+
+
+def capture_blocks(x, params):
+    """The overlap-save blocks of a whole capture, as the scan cuts them."""
+    block, step = scan_block_geometry(params)
+    n_blocks = -(-(x.size - params.symbol_len + 1) // step)
+    padded = np.zeros((n_blocks - 1) * step + block, dtype=np.complex128)
+    padded[:x.size] = x
+    return np.lib.stride_tricks.sliding_window_view(padded, block)[::step]
+
+
+def screen_error_ratio(capture, params, max_cfo_bins=2):
+    """The largest error of the single-precision screen, over its bound delta,
+    at any lag of any sector: the double-precision maximum over the CFO bins
+    of the correlation magnitude is taken as exact."""
+    blocks = capture_blocks(capture.samples, params)
+    block, step = scan_block_geometry(params)
+    bin_shift = block // params.fft_size
+    delta = _screen_bounds(blocks, params)
+    x_spec = np.fft.fft(blocks, axis=1)
+    prod = np.empty(blocks.shape, dtype=np.complex64)
+    mag = np.empty((blocks.shape[0], step), dtype=np.float32)
+    out = np.empty_like(mag)
+    ratio = 0.0
+    screens = _screened(blocks, params, max_cfo_bins, prod, mag, out)
+    for n2, (screened, spectrum) in enumerate(zip(screens, _pss_replica_spectra(params))):
+        exact = np.zeros(mag.shape)
+        for k in range(-max_cfo_bins, max_cfo_bins + 1):
+            corr = np.fft.ifft(x_spec * np.roll(spectrum, k * bin_shift), axis=1)
+            np.maximum(exact, np.abs(corr[:, :step]), out=exact)
+        error = np.abs(screened - exact).max(axis=1)
+        ratio = max(ratio, float(np.max(error / delta[n2])))
+    return ratio
+
+
+def planted_bursts(params, bursts, n, cfo_bins=0.0, snr_db=None, seed=0):
+    """An n-sample capture holding one SSB per (cell, lead-in, scale), summed,
+    then shifted by cfo_bins subcarriers and, if snr_db is given, with noise
+    that far below a unit-scale SSB's power."""
+    x = np.zeros(n, dtype=np.complex128)
+    for cell, lead_in, scale in bursts:
+        ssb = ssb_waveform(SsbConfig(cell_id=CellId.from_cell(cell)), params)
+        x[lead_in:lead_in + ssb.size] += scale * ssb[:n - lead_in]
+    capture = with_cfo(IqCapture(x, params.sample_rate), cfo_bins * params.scs)
+    if snr_db is None:
+        return capture
+    unit = float(np.mean(np.abs(ssb_waveform(SsbConfig(cell_id=CellId.from_cell(0)),
+                                             params)) ** 2))
+    return awgn(capture, unit * 10.0 ** (-snr_db / 10.0), rng=seed)
+
+
+class TestScreenedScan:
+    """The single-precision screen never changes what the scan finds."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        bursts=st.lists(st.tuples(st.integers(0, 1007), st.integers(0, 34_000),
+                                  st.floats(-4.0, 4.0)), min_size=1, max_size=3),
+        snr_db=st.one_of(st.none(), st.floats(0.0, 30.0)),
+        cfo_bins=st.floats(-2.0, 2.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_whole_scan(self, params, bursts, snr_db, cfo_bins, seed):
+        # 36 000 samples are 21 blocks: two groups at the default group size.
+        planted = [(cell, lead_in, 10.0 ** log_scale)
+                   for cell, lead_in, log_scale in bursts]
+        capture = planted_bursts(params, planted, 36_000, cfo_bins, snr_db, seed)
+        assert_matches_whole_scan(capture, params)
+
+    def test_threshold_at_a_burst_metric(self, params):
+        # The weaker burst's exact metric as the threshold still finds it,
+        # with that metric; one ulp above, neither scan finds it.
+        capture = planted_bursts(params, [(7, 2000, 1.0), (7, 12_000, 0.5)], 20_000,
+                                 snr_db=0.0, seed=3)
+        want = allocating_detect_pss(capture, params, DEFAULT_PSS_THRESHOLD)
+        weak = min((c for c, _ in want if c.timing in (2000, 12_000)),
+                   key=lambda c: c.metric)
+        at = assert_matches_whole_scan(capture, params, threshold=weak.metric)
+        assert weak.metric.hex() in [c.metric.hex() for c, _ in at if c.timing == weak.timing]
+        above = assert_matches_whole_scan(capture, params,
+                                          threshold=np.nextafter(weak.metric, 1.0))
+        assert weak.timing not in [c.timing for c, _ in above]
+
+    def test_bursts_60db_apart_in_one_group(self, params):
+        capture = planted_bursts(params, [(11, 1500, 1.0), (11, 9000, 1e-3)], 25_000)
+        _, step = scan_block_geometry(params)
+        assert len(capture) < _SCAN_GROUP * step
+        want = assert_matches_whole_scan(capture, params)
+        assert {1500, 9000} <= {c.timing for c, _ in want}
+
+    @pytest.mark.parametrize("scale", [1e-40, 1e30])
+    def test_scale_beyond_single_precision(self, scale, params):
+        # Samples below float32's normal range, or beyond its largest value,
+        # still give the exact scan's candidates.
+        capture = planted_bursts(params, [(5, 3000, scale)], 12_000)
+        want = assert_matches_whole_scan(capture, params)
+        assert [c.timing for c, _ in want] == [3000]
+
+    @pytest.mark.parametrize("case", sorted(REFERENCE_CAPTURES))
+    def test_error_within_an_eighth_of_its_bound(self, case, params, burst_capture):
+        # Records the bound's headroom: the errors measured stay below 1/1000 of it.
+        capture = REFERENCE_CAPTURES[case](burst_capture, params)
+        assert screen_error_ratio(capture, params) <= 1 / 8
+
+    def test_error_within_an_eighth_of_its_bound_at_fft_512(self):
+        p512 = OfdmParams(fft_size=512, cp_len=36)
+        capture = planted_bursts(p512, [(40, 3000, 1.0), (41, 9000, 1e-4)], 16_000,
+                                 cfo_bins=0.3, snr_db=20.0, seed=1)
+        assert _scan_block_len(p512) == 4096
+        assert screen_error_ratio(capture, p512) <= 1 / 8
 
 
 class TestFindPeaks:
