@@ -149,20 +149,6 @@ class AoaDelayProfile:
     valid: np.ndarray
 
 
-def _check_transform(window: str, pad_factor: int, n: int) -> None:
-    """Reject an unknown window, a pad factor below 1, and a window whose
-    coherent gain over n points is zero (Hann over 2 points is [0, 0])."""
-    if window not in _WINDOWS:
-        raise ValueError(f"window must be one of {sorted(_WINDOWS)}, got {window!r}")
-    if pad_factor < 1:
-        raise ValueError(f"pad_factor must be >= 1, got {pad_factor}")
-    if not _WINDOWS[window](n).any():
-        raise ValueError(
-            f"a {window} window over {n} points is all zeros; "
-            "the sweep needs more points or another window"
-        )
-
-
 @lru_cache(maxsize=8)
 def _chirp_kernel(n: int, n_fft: int) -> tuple[np.ndarray, np.ndarray]:
     """Chirp c_k = exp(j*pi*k^2/n_fft), k < n_fft, and the spectrum of its
@@ -186,6 +172,33 @@ def _chirp_kernel(n: int, n_fft: int) -> tuple[np.ndarray, np.ndarray]:
     return chirp, spectrum
 
 
+def _window_weights(window: str, pad_factor: int, n: int) -> np.ndarray:
+    """Weights chirp[:n] * w / (mean(w) * n) of the delay transform over n
+    points. Rejects an unknown window, a pad factor below 1, and a window
+    whose coherent gain over n points is zero (Hann over 2 points is [0, 0])."""
+    if window not in _WINDOWS:
+        raise ValueError(f"window must be one of {sorted(_WINDOWS)}, got {window!r}")
+    if pad_factor < 1:
+        raise ValueError(f"pad_factor must be >= 1, got {pad_factor}")
+    w = _WINDOWS[window](n)
+    if not w.any():
+        raise ValueError(
+            f"a {window} window over {n} points is all zeros; "
+            "the sweep needs more points or another window"
+        )
+    chirp, _ = _chirp_kernel(n, pad_factor * n)
+    return chirp[:n] * (w / (w.mean() * n))
+
+
+def _chirp_convolution(x: np.ndarray, n_fft: int) -> np.ndarray:
+    """Chirp-z transform of weighted x along the last axis, short of its
+    final factor chirp[:n_fft], whose modulus is 1."""
+    _, spectrum = _chirp_kernel(x.shape[-1], n_fft)
+    conv = np.fft.fft(x, spectrum.size)
+    conv *= spectrum
+    return np.fft.ifft(conv)[..., :n_fft]
+
+
 def _delay_taps(h: np.ndarray, window: str, pad_factor: int) -> np.ndarray:
     """Windowed, zero-padded inverse transform along the last axis.
 
@@ -194,14 +207,9 @@ def _delay_taps(h: np.ndarray, window: str, pad_factor: int) -> np.ndarray:
     cost follows a power-of-two FFT whatever the factors of n_fft.
     """
     n = h.shape[-1]
-    _check_transform(window, pad_factor, n)
+    weights = _window_weights(window, pad_factor, n)
     n_fft = pad_factor * n
-    chirp, spectrum = _chirp_kernel(n, n_fft)
-    w = _WINDOWS[window](n)
-    weights = chirp[:n] * (w / (w.mean() * n))
-    conv = np.fft.fft(h * weights, spectrum.size)
-    conv *= spectrum
-    return np.fft.ifft(conv)[..., :n_fft] * chirp
+    return _chirp_convolution(h * weights, n_fft) * _chirp_kernel(n, n_fft)[0]
 
 
 def sweep_to_cir(
@@ -294,13 +302,16 @@ def _beamform(h: np.ndarray, freqs: np.ndarray, tau: np.ndarray) -> np.ndarray:
     df = (freqs[-1] - freqs[0]) / (n - 1)
     coarse = np.exp(2j * np.pi * tau[:, :, None] * freqs[None, None, ::step])
     fine = np.exp(2j * np.pi * tau[:, :, None] * (df * np.arange(step)))
-    padded = np.zeros((n_elem, n_coarse * step), dtype=np.complex128)
-    padded[:, :n] = h
-    # einsum sums over elements into one (n_angle, n_coarse, B) output and
-    # forms no (n_elem, n_angle, n) steering tensor
-    combined = np.einsum(
-        "mac,maj,mcj->acj", coarse, fine, padded.reshape(n_elem, n_coarse, step)
-    )
+    padded = np.zeros((n_elem, n_coarse, step), dtype=np.complex128)
+    padded.reshape(n_elem, -1)[:, :n] = h
+    # one element at a time into one (n_angle, n_coarse, B) sum, so no
+    # (n_elem, n_angle, n) steering tensor is formed
+    combined = np.zeros((tau.shape[1], n_coarse, step), dtype=np.complex128)
+    term = np.empty_like(combined)
+    for m in range(n_elem):
+        np.multiply(fine[m, :, None, :], padded[m], out=term)
+        term *= coarse[m, :, :, None]
+        combined += term
     return combined.reshape(tau.shape[1], -1)[:, :n]
 
 
@@ -318,12 +329,15 @@ def aoa_delay_profile(
     and its magnitude fills that angle's row of the map, which is globally
     normalized to a 0 dB peak. With pattern compensation, angles whose
     pattern gain is below PATTERN_MASK_DB are flagged invalid and left NaN.
-    Valid angles are beamformed and transformed AOA_ANGLE_BLOCK at a time.
+    Valid angles are beamformed and transformed AOA_ANGLE_BLOCK at a time
+    into one map-sized buffer, converted to dB in place. The window weights
+    the element responses once, before the (linear) element sum, and the
+    transform's final chirp is skipped, since only magnitudes are kept.
     """
     angles = np.asarray(angle_grid_deg, dtype=np.float64)
     if angles.ndim != 1 or angles.size < 1:
         raise ValueError("angle grid must be a non-empty 1-D array")
-    _check_transform(window, pad_factor, scan.freqs.size)
+    weights = _window_weights(window, pad_factor, scan.freqs.size)
     if scan.element_positions.shape[0] < 2:
         raise ValueError("beamforming needs at least 2 elements")
 
@@ -336,7 +350,7 @@ def aoa_delay_profile(
             raise ValueError("every angle fell below the pattern mask")
 
     freqs = scan.freqs
-    h = np.stack([s.h for s in scan.sweeps])  # (n_elem, n_freq)
+    h = np.stack([s.h for s in scan.sweeps]) * weights  # (n_elem, n_freq)
     directions = _unit_vectors(angles)  # (n_angle, 3)
     delays_m = scan.element_positions @ directions.T / SPEED_OF_LIGHT  # (n_elem, n_angle)
 
@@ -348,10 +362,11 @@ def aoa_delay_profile(
         combined = _beamform(h, freqs, delays_m[:, rows])
         if gains is not None:
             combined /= gains[rows, None]
-        power[rows] = np.abs(_delay_taps(combined, window, pad_factor))
+        power[rows] = np.abs(_chirp_convolution(combined, n_fft))
 
-    peak = np.nanmax(power)
     with np.errstate(divide="ignore", invalid="ignore"):
-        power_db = 20.0 * np.log10(power / peak)
+        power /= np.nanmax(power)
+        np.log10(power, out=power)
+        power *= 20.0
     delays = np.arange(n_fft) * (1.0 / (n_fft * float(freqs[1] - freqs[0])))
-    return AoaDelayProfile(angles_deg=angles, delays=delays, power_db=power_db, valid=valid)
+    return AoaDelayProfile(angles_deg=angles, delays=delays, power_db=power, valid=valid)

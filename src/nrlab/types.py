@@ -122,8 +122,10 @@ class IqCapture:
             raise ValueError(f"samples must be 1-D, got shape {self.samples.shape}")
         if not self.sample_rate > 0:
             raise ValueError(f"sample_rate must be > 0, got {self.sample_rate}")
-        if self.samples.size and not np.all(np.isfinite(self.samples)):
-            raise ValueError("samples contain non-finite values")
+        parts = self.samples[:, None].view(np.float64)  # (n, 2) re/im, no copy
+        with np.errstate(invalid="ignore"):  # min and max propagate NaN, reach +-inf
+            if parts.size and not (np.isfinite(parts.min()) and np.isfinite(parts.max())):
+                raise ValueError("samples contain non-finite values")
 
     def __len__(self) -> int:
         return self.samples.size

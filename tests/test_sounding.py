@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -14,7 +16,7 @@ from nrlab import (
     deembed_pattern,
     sweep_to_cir,
 )
-from nrlab.sounding import SPEED_OF_LIGHT, _chirp_kernel, _delay_taps
+from nrlab.sounding import AOA_ANGLE_BLOCK, SPEED_OF_LIGHT, _chirp_kernel, _delay_taps
 
 from aoa_reference import reference_aoa_delay_profile, reference_sweep_to_cir
 
@@ -302,6 +304,26 @@ class TestAoaDelayProfile:
             10 ** (profile_a.power_db / 20), 10 ** (profile_b.power_db / 20), atol=1e-9
         )
 
+    def test_peak_memory_is_under_two_maps(self):
+        # 16 elements x 1601 points x 181 angles: the map is 9.3 MB of
+        # float64, and the call should hold little more than that one map
+        rng = np.random.default_rng(11)
+        freqs = 99e9 + 1.25e6 * np.arange(1601)
+        sweeps = [
+            FrequencySweep(freqs, rng.standard_normal(1601) + 1j * rng.standard_normal(1601))
+            for _ in range(16)
+        ]
+        scan = VirtualArrayScan(ULA16, sweeps)
+        tracemalloc.start()
+        try:
+            profile = aoa_delay_profile(scan, ANGLES)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        map_bytes = profile.power_db.nbytes
+        assert profile.power_db.shape == (181, 6404)
+        assert peak <= 2 * map_bytes, f"traced peak {peak} B, map {map_bytes} B"
+
     def test_mismatched_grids_rejected(self):
         good = FrequencySweep(freqs=FREQS, h=np.ones(N_POINTS))
         other = FrequencySweep(freqs=FREQS + DF, h=np.ones(N_POINTS))
@@ -400,6 +422,19 @@ def noisy_scan(pattern=None):
     return scan if pattern is None else deembed_pattern(scan)
 
 
+def assert_matches_reference(got, want):
+    # The chirp-z transform, the factored steering phases and the window
+    # applied before the element sum round differently from the per-angle
+    # FFT, so the linear maps (peak 1) agree to a bound, not bit for bit.
+    assert np.array_equal(np.isnan(got.power_db), np.isnan(want.power_db))
+    linear_got = 10 ** (got.power_db / 20)
+    linear_want = 10 ** (want.power_db / 20)
+    assert np.nanmax(np.abs(linear_got - linear_want)) <= 1e-12
+    assert np.array_equal(got.delays, want.delays)
+    assert np.array_equal(got.valid, want.valid)
+    assert np.array_equal(got.angles_deg, want.angles_deg)
+
+
 class TestAoaReference:
     @pytest.mark.parametrize(
         "pattern, kwargs",
@@ -412,19 +447,55 @@ class TestAoaReference:
     def test_matches_per_angle_map(self, pattern, kwargs):
         scan = noisy_scan(pattern)
         got = aoa_delay_profile(scan, ANGLES, **kwargs)
-        want = reference_aoa_delay_profile(scan, ANGLES, **kwargs)
-        # The chirp-z transform and the factored steering phases round
-        # differently from the per-angle FFT, so the linear maps (peak 1)
-        # agree to a bound, not bit for bit.
-        assert np.array_equal(np.isnan(got.power_db), np.isnan(want.power_db))
-        linear_got = 10 ** (got.power_db / 20)
-        linear_want = 10 ** (want.power_db / 20)
-        assert np.nanmax(np.abs(linear_got - linear_want)) <= 1e-12
-        assert np.array_equal(got.delays, want.delays)
-        assert np.array_equal(got.valid, want.valid)
-        assert np.array_equal(got.angles_deg, want.angles_deg)
+        assert_matches_reference(got, reference_aoa_delay_profile(scan, ANGLES, **kwargs))
         if pattern is not None:
             assert 0 < np.count_nonzero(~got.valid) < ANGLES.size
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_elements=st.integers(2, 8),
+        n_points=st.integers(3, 300),
+        window=st.sampled_from(["rectangular", "hann", "hamming"]),
+        pad_factor=st.integers(1, 4),
+        n_angles=st.integers(2, 3 * AOA_ANGLE_BLOCK + 2),
+        masked=st.one_of(st.none(), st.tuples(st.integers(0, 3 * AOA_ANGLE_BLOCK),
+                                             st.integers(1, AOA_ANGLE_BLOCK + 2))),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # masked runs across the first and the second AOA_ANGLE_BLOCK boundary,
+    # so a block's rows skip over the masked angles
+    @example(n_elements=8, n_points=300, window="hann", pad_factor=4, n_angles=40,
+             masked=(AOA_ANGLE_BLOCK - 2, 4), seed=0)
+    @example(n_elements=3, n_points=101, window="hamming", pad_factor=3, n_angles=50,
+             masked=(2 * AOA_ANGLE_BLOCK - 3, AOA_ANGLE_BLOCK + 2), seed=1)
+    @example(n_elements=2, n_points=3, window="rectangular", pad_factor=1, n_angles=2,
+             masked=None, seed=2)
+    def test_random_arrays_match_per_angle_map(
+        self, n_elements, n_points, window, pad_factor, n_angles, masked, seed
+    ):
+        # elements anywhere in a 4 cm cube, responses of random paths plus noise
+        rng = np.random.default_rng(seed)
+        positions = rng.uniform(-0.02, 0.02, (n_elements, 3))
+        freqs = F_START + DF * np.arange(n_points)
+        paths = [(rng.uniform(-90, 90), rng.uniform(0, 1 / DF), rng.uniform(0.2, 1))
+                 for _ in range(2)]
+        sweeps = plane_wave_scan(positions, paths, freqs=freqs)
+        for s in sweeps:
+            s.h = s.h + 0.1 * (rng.standard_normal(n_points) + 1j * rng.standard_normal(n_points))
+        angles = np.linspace(-90.0, 90.0, n_angles)
+        scan = VirtualArrayScan(positions, sweeps)
+        if masked is not None:
+            # a pattern tabulated on the grid, below the mask on one run of angles
+            gain = rng.uniform(0.1, 1, n_angles) * np.exp(2j * np.pi * rng.uniform(size=n_angles))
+            start, length = masked
+            gain[start:start + length] = 1e-3
+            if np.all(np.abs(gain) == 1e-3):
+                gain[0] = 1.0
+            pattern = AntennaPattern(angles_deg=angles, gain=gain)
+            scan = deembed_pattern(VirtualArrayScan(positions, sweeps, pattern=pattern))
+        kwargs = {"window": window, "pad_factor": pad_factor}
+        got = aoa_delay_profile(scan, angles, **kwargs)
+        assert_matches_reference(got, reference_aoa_delay_profile(scan, angles, **kwargs))
 
     def test_every_angle_masked(self):
         angles = np.array([-90.0, 90.0])

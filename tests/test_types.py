@@ -1,0 +1,30 @@
+import numpy as np
+import pytest
+
+from nrlab import IqCapture
+
+
+class TestIqCaptureFiniteness:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("part", ["real", "imag"])
+    @pytest.mark.parametrize("index", [0, 5, -1])
+    def test_non_finite_sample_rejected(self, value, part, index):
+        samples = np.ones(11, dtype=complex)
+        getattr(samples, part)[index] = value
+        with pytest.raises(ValueError, match="samples contain non-finite values"):
+            IqCapture(samples, 1e6)
+        # the same sample in a strided view, which has no float64 view of its own
+        strided = np.ones(22, dtype=complex)
+        strided[::2] = samples
+        with pytest.raises(ValueError, match="samples contain non-finite values"):
+            IqCapture(strided[::2], 1e6)
+
+    def test_extreme_finite_samples_accepted(self):
+        # a float64 sum of these would overflow to inf
+        big = np.array([1.7e308 + 1.7e308j, -1.7e308 - 1.7e308j, 1.7e308 - 1.7e308j])
+        capture = IqCapture(big, 1e6)
+        assert capture.samples is big
+        assert len(IqCapture(np.repeat(big, 2)[::2], 1e6)) == 3
+
+    def test_empty_capture_accepted(self):
+        assert len(IqCapture(np.zeros(0, dtype=complex), 1e6)) == 0
