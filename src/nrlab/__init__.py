@@ -24,6 +24,7 @@ from .exposure import (
     code_selective_power,
     combine_uncertainty,
     extrapolate_exposure,
+    measure_exposure,
 )
 from .otasim import (
     FadingRealization,

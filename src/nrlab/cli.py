@@ -17,13 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .detector import (
-    DEFAULT_PSS_THRESHOLD,
-    _check_sample_rate,
-    demodulate_burst,
-    enumerate_ssb_bursts,
-)
-from .exposure import SIGNAL_CLASSES, build_report, code_selective_power
+from .detector import DEFAULT_PSS_THRESHOLD, _check_sample_rate, enumerate_ssb_bursts
+from .exposure import measure_exposure
 from .io import (
     read_capture,
     read_detection_report,
@@ -210,10 +205,6 @@ def _read_capture_at(path, params: OfdmParams):
     return capture
 
 
-def _complex_matrix_payload(m: np.ndarray) -> list:
-    return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(m)]
-
-
 def cmd_generate(cfg: dict) -> int:
     _check_writable(cfg["out"])
     if cfg["n1"] is not None or cfg["n2"] is not None:
@@ -276,19 +267,9 @@ def cmd_exposure(cfg: dict) -> int:
     if not detection.bursts:
         LOG.info("detection report holds no bursts; nothing to measure")
         return EXIT_NO_FINDINGS
-
-    per_burst = []
-    for index, burst in enumerate(detection.bursts):
-        grid = demodulate_burst(capture, burst.timing, detection.cfo, params)
-        per_burst.append(code_selective_power(grid, detection, index))
-    mean_powers = {name: float(np.mean([p[name] for p in per_burst])) for name in SIGNAL_CLASSES}
-
-    report = build_report(
-        mean_powers,
-        n_re_total=cfg["rb_count"] * 12,
-        duty=cfg["duty"],
-        mode=cfg["mode"],
-        coverage_factor=cfg["coverage_k"],
+    report = measure_exposure(
+        capture, detection, params, n_re_total=cfg["rb_count"] * 12, duty=cfg["duty"],
+        mode=cfg["mode"], coverage_factor=cfg["coverage_k"],
     )
     cfg["out"] = cfg["out"] or cfg["capture"] + ".exposure.json"
     _check_writable(cfg["out"])
@@ -380,9 +361,9 @@ def cmd_otasim(cfg: dict) -> int:
         calibration = compute_calibration(estimate)
         isolation = isolation_db(truth.a @ calibration)
         payload = {
-            "true_matrix": _complex_matrix_payload(truth.a),
-            "estimated_matrix": _complex_matrix_payload(estimate.a),
-            "calibration_matrix": _complex_matrix_payload(calibration),
+            "true_matrix": truth.a,
+            "estimated_matrix": estimate.a,
+            "calibration_matrix": calibration,
             "estimated_condition_number": estimate.condition_number,
             "isolation_db": isolation,
         }
@@ -396,10 +377,7 @@ def cmd_otasim(cfg: dict) -> int:
             seed=cfg["seed"],
         )
         realization = simulate_rc_channel(model)
-        payload = {
-            "delays_s": [float(d) for d in realization.delays],
-            "gains": [[float(g.real), float(g.imag)] for g in realization.gains],
-        }
+        payload = {"delays_s": realization.delays, "gains": realization.gains}
         if cfg["cancel_demo"]:
             tap_bin = 40
             measured, reference = _single_tap_smeared(256, decay_bins=10.0, tap_bin=tap_bin)

@@ -32,15 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .sequences import gen_pbch_dmrs, gen_pss, gen_sss
-from .types import (
-    N_SSB_SUBCARRIERS,
-    N_SSB_SYMBOLS,
-    SYNC_BAND,
-    SYNC_SEQ_LEN,
-    CellId,
-    IqCapture,
-    OfdmParams,
-)
+from .types import N_SSB_SUBCARRIERS, N_SSB_SYMBOLS, SYNC_BAND, CellId, IqCapture, OfdmParams
 from .waveform import _demodulate_symbols, _subcarrier_bins, ofdm_modulate, ssb_layout
 
 # Detection threshold. Under complex white Gaussian noise one test (one lag,
@@ -552,6 +544,15 @@ def demodulate_burst(
     return _demodulate_symbols(derotated, params, N_SSB_SYMBOLS, bins)
 
 
+def _best_match(bank: np.ndarray, v: np.ndarray) -> tuple[int, float]:
+    """The row of a matched bank that best matches `v`, and its score |row . v|
+    normalized by ||v|| sqrt(row length); 0.0 when `v` is all zeros."""
+    scores = np.abs(bank @ v)
+    denom = np.linalg.norm(v) * np.sqrt(bank.shape[1])
+    best = int(np.argmax(scores))
+    return best, float(scores[best] / denom) if denom > 0 else 0.0
+
+
 def _sss_from_grid(grid: np.ndarray, n2: int) -> tuple[int, float]:
     """Identify the SSS group of a demodulated burst with PSS sector `n2`.
 
@@ -564,12 +565,7 @@ def _sss_from_grid(grid: np.ndarray, n2: int) -> tuple[int, float]:
         (n1, normalized metric of the winning hypothesis).
     """
     chan = np.mean(grid[0, SYNC_BAND] * _pss_sequence(n2))  # LS per RE, then flat
-    equalized = grid[2, SYNC_BAND] * np.conj(chan)
-    scores = np.abs(_sss_bank(n2) @ equalized)
-    denom = np.linalg.norm(equalized) * np.sqrt(SYNC_SEQ_LEN)
-    n1 = int(np.argmax(scores))
-    metric = float(scores[n1] / denom) if denom > 0 else 0.0
-    return n1, metric
+    return _best_match(_sss_bank(n2), grid[2, SYNC_BAND] * np.conj(chan))
 
 
 def identify_ssb_index(grid: np.ndarray, cell_id: CellId) -> tuple[int, float]:
@@ -578,14 +574,7 @@ def identify_ssb_index(grid: np.ndarray, cell_id: CellId) -> tuple[int, float]:
     Returns:
         (i_ssb_bar, normalized metric of the winning hypothesis).
     """
-    mask = ssb_layout(cell_id.cell)["dmrs"]
-    observed = grid[mask]
-    bank = _dmrs_bank(cell_id.cell)
-    scores = np.abs(bank @ observed)
-    denom = np.linalg.norm(observed) * np.sqrt(bank.shape[1])
-    i_bar = int(np.argmax(scores))
-    metric = float(scores[i_bar] / denom) if denom > 0 else 0.0
-    return i_bar, metric
+    return _best_match(_dmrs_bank(cell_id.cell), grid[ssb_layout(cell_id.cell)["dmrs"]])
 
 
 def _merge_candidates(

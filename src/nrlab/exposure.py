@@ -7,8 +7,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .detector import DetectionResult
-from .types import N_SSB_SYMBOLS, CellId, SsbConfig
+from .detector import DetectionResult, demodulate_burst
+from .types import N_SSB_SYMBOLS, CellId, IqCapture, OfdmParams, SsbConfig
 from .waveform import map_ssb, ssb_layout
 
 SIGNAL_CLASSES = ("pss", "sss", "dmrs", "pbch")
@@ -138,18 +138,15 @@ def combine_uncertainty(
 
     Args:
         components: iterable of (name, standard uncertainty in dB,
-            distribution tag) triples; a missing tag defaults to "normal".
+            distribution tag) triples.
     """
-    normalized = []
-    for comp in components:
-        name, u_db = comp[0], float(comp[1])
-        tag = comp[2] if len(comp) > 2 else "normal"
+    normalized = tuple((name, float(u_db), tag) for name, u_db, tag in components)
+    for name, u_db, _ in normalized:
         if u_db < 0:
             raise ValueError(f"uncertainty component {name!r} is negative: {u_db}")
-        normalized.append((name, u_db, tag))
     expanded = coverage_factor * math.sqrt(sum(u * u for _, u, _ in normalized))
     return UncertaintyBudget(
-        components=tuple(normalized),
+        components=normalized,
         coverage_factor=coverage_factor,
         expanded_db=expanded,
     )
@@ -169,20 +166,39 @@ def check_targets(budget: UncertaintyBudget, mode: str) -> TargetCheck:
     )
 
 
-def build_report(
-    per_signal_power: dict[str, float],
+def measure_exposure(
+    capture: IqCapture,
+    detection: DetectionResult,
+    params: OfdmParams,
     n_re_total: int,
     duty: float,
     mode: str,
-    components=DEFAULT_UNCERTAINTY_COMPONENTS,
     coverage_factor: float = 2.0,
 ) -> ExposureReport:
-    """Assemble the exposure report: extrapolate from the SSS power and check
-    the budget against the target of the mode."""
-    linear, db = extrapolate_exposure(per_signal_power["sss"], n_re_total, duty)
-    budget = combine_uncertainty(components, coverage_factor)
+    """Measure the exposure of the detected cell in a capture.
+
+    Each detected burst is demodulated at the detection's CFO and despread
+    per signal class; each class power is the mean over the bursts. The SSS
+    power is extrapolated to the fully loaded maximum, and the placeholder
+    budget is checked against the target of the mode.
+
+    Raises:
+        ValueError: the detection holds no bursts, or a burst, the
+            extrapolation or the mode is invalid.
+    """
+    if not detection.bursts:
+        raise ValueError("detection contains no bursts")
+    per_burst = [
+        code_selective_power(
+            demodulate_burst(capture, burst.timing, detection.cfo, params), detection, index
+        )
+        for index, burst in enumerate(detection.bursts)
+    ]
+    powers = {name: float(np.mean([p[name] for p in per_burst])) for name in SIGNAL_CLASSES}
+    linear, db = extrapolate_exposure(powers["sss"], n_re_total, duty)
+    budget = combine_uncertainty(DEFAULT_UNCERTAINTY_COMPONENTS, coverage_factor)
     return ExposureReport(
-        per_signal_re_power=dict(per_signal_power),
+        per_signal_re_power=powers,
         extrapolated_power=linear,
         extrapolated_power_db=db,
         n_re_total=n_re_total,

@@ -223,7 +223,8 @@ def write_geometry(path, elements: np.ndarray, pattern: AntennaPattern | None = 
 
 
 def write_report(path, payload: dict) -> None:
-    """Write a strict-JSON report: dB-suffixed values are rounded to 2 decimals
+    """Write a strict-JSON report: arrays are written as lists and complex
+    values as [re, im] pairs, dB-suffixed values are rounded to 2 decimals
     and non-finite floats are written as null."""
     Path(path).write_text(
         json.dumps(_report_value(payload), indent=2, sort_keys=True, allow_nan=False) + "\n",
@@ -297,6 +298,10 @@ def read_detection_report(path) -> DetectionResult:
 def _report_value(value, is_db: bool = False):
     if isinstance(value, dict):
         return {k: _report_value(v, is_db or k.endswith("_db")) for k, v in value.items()}
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, complex):
+        value = [value.real, value.imag]
     if isinstance(value, (list, tuple)):
         return [_report_value(v, is_db) for v in value]
     if isinstance(value, float):

@@ -41,6 +41,8 @@ class FrequencySweep:
             raise ValueError("sweep needs at least 2 frequency points")
         if self.h.shape != self.freqs.shape:
             raise ValueError("freqs and h lengths differ")
+        if not np.all(np.isfinite(self.freqs)):
+            raise ValueError("sweep contains non-finite frequencies")
         steps = np.diff(self.freqs)
         if np.any(steps <= 0):
             raise ValueError("freqs must be strictly increasing")
@@ -55,6 +57,8 @@ class FrequencySweep:
                 if v.shape != self.freqs.shape:
                     raise ValueError(f"{name} length differs from freqs")
                 setattr(self, name, v)
+        if self.pilot is not None and not np.all(np.isfinite(self.pilot)):
+            raise ValueError("pilot contains non-finite values")
 
     @property
     def df(self) -> float:

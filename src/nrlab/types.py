@@ -122,6 +122,8 @@ class IqCapture:
             raise ValueError(f"samples must be 1-D, got shape {self.samples.shape}")
         if not self.sample_rate > 0:
             raise ValueError(f"sample_rate must be > 0, got {self.sample_rate}")
+        if not 0 < self.scale < np.inf:
+            raise ValueError(f"scale must be finite and > 0, got {self.scale}")
         parts = self.samples[:, None].view(np.float64)  # (n, 2) re/im, no copy
         with np.errstate(invalid="ignore"):  # min and max propagate NaN, reach +-inf
             if parts.size and not (np.isfinite(parts.min()) and np.isfinite(parts.max())):

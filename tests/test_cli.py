@@ -1,7 +1,9 @@
+import csv
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -83,6 +85,15 @@ class TestDetect:
         del raw["sample_rate_hz"]
         sidecar_file.write_text(json.dumps(raw))
         assert run("detect", "--in", cell3_capture) == EXIT_ERROR
+
+    @pytest.mark.parametrize("scale", [0, -1])
+    def test_non_positive_sidecar_scale_exit_1(self, cell3_capture, capsys, scale):
+        sidecar_file = cell3_capture.with_name(cell3_capture.name + ".json")
+        raw = json.loads(sidecar_file.read_text())
+        raw["scale"] = scale
+        sidecar_file.write_text(json.dumps(raw))
+        assert run("detect", "--in", cell3_capture) == EXIT_ERROR
+        assert f"error: scale must be finite and > 0, got {float(scale)}" in capsys.readouterr().err
 
     def test_missing_input_flag(self):
         assert run("detect") == EXIT_ERROR
@@ -272,6 +283,28 @@ class TestSound:
         assert message in capsys.readouterr().err
         assert not out.exists()
         assert not aoa_out.exists()
+
+    @pytest.mark.parametrize("column, message", [
+        ("freq_hz", "sweep contains non-finite frequencies"),
+        ("pilot_re", "pilot contains non-finite values"),
+    ])
+    def test_nan_in_sweep_exit_1(self, tmp_path, capsys, column, message):
+        sweep_path = tmp_path / "sweep.csv"
+        freqs = 1e9 + 1e6 * np.arange(16)
+        write_sweep_csv(sweep_path, FrequencySweep(freqs=freqs, h=np.ones(16),
+                                                   pilot=np.ones(16, complex)))
+        rows = list(csv.DictReader(sweep_path.read_text().splitlines()))
+        rows[5][column] = "nan"
+        with open(sweep_path, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        out = tmp_path / "pdp.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("sound", "--in", sweep_path, "--out", out) == EXIT_ERROR
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_wrong_element_count(self, tmp_path):
         sweep_path = tmp_path / "sweep.csv"

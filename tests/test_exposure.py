@@ -7,15 +7,19 @@ from hypothesis import strategies as st
 
 from nrlab import (
     CellId,
+    IqCapture,
     SsbConfig,
     check_targets,
     code_selective_power,
     combine_uncertainty,
+    demodulate_burst,
+    enumerate_ssb_bursts,
     extrapolate_exposure,
     map_ssb,
+    measure_exposure,
 )
 from nrlab.detector import DetectionResult, SsbBurst
-from nrlab.exposure import SIGNAL_CLASSES, build_report
+from nrlab.exposure import DEFAULT_UNCERTAINTY_COMPONENTS, SIGNAL_CLASSES
 from exposure_reference import reference_code_selective_power
 
 
@@ -168,11 +172,12 @@ class TestExtrapolate:
 
 class TestUncertainty:
     def test_single_component(self):
-        budget = combine_uncertainty([("a", 0.1)], coverage_factor=2.0)
+        budget = combine_uncertainty([("a", 0.1, "normal")], coverage_factor=2.0)
         assert budget.expanded_db == pytest.approx(0.2)
 
     def test_pythagorean(self):
-        budget = combine_uncertainty([("a", 3.0), ("b", 4.0)], coverage_factor=1.0)
+        budget = combine_uncertainty([("a", 3.0, "normal"), ("b", 4.0, "rectangular")],
+                                     coverage_factor=1.0)
         assert budget.expanded_db == pytest.approx(5.0)
 
     def test_empty(self):
@@ -180,7 +185,7 @@ class TestUncertainty:
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            combine_uncertainty([("bad", -0.1)])
+            combine_uncertainty([("bad", -0.1, "normal")])
 
     @given(
         us=st.lists(st.floats(0, 2.0), min_size=1, max_size=6),
@@ -188,29 +193,29 @@ class TestUncertainty:
     )
     @settings(max_examples=40, deadline=None)
     def test_permutation_invariant_and_scale_covariant(self, us, c):
-        comps = [(f"u{i}", u) for i, u in enumerate(us)]
+        comps = [(f"u{i}", u, "normal") for i, u in enumerate(us)]
         forward = combine_uncertainty(comps).expanded_db
         backward = combine_uncertainty(list(reversed(comps))).expanded_db
         assert forward == pytest.approx(backward, rel=1e-12)
-        scaled = combine_uncertainty([(n, u * c) for n, u in comps]).expanded_db
+        scaled = combine_uncertainty([(n, u * c, d) for n, u, d in comps]).expanded_db
         assert scaled == pytest.approx(forward * c, rel=1e-9)
 
 
 class TestTargets:
     def test_conducted_pass_with_margin(self):
-        budget = combine_uncertainty([("a", 0.02)], coverage_factor=2.0)
+        budget = combine_uncertainty([("a", 0.02, "normal")], coverage_factor=2.0)
         check = check_targets(budget, "conducted")
         assert check.passed
         assert check.margin_db == pytest.approx(0.01)
 
     def test_ota_boundary_passes(self):
-        budget = combine_uncertainty([("a", 0.25)], coverage_factor=2.0)
+        budget = combine_uncertainty([("a", 0.25, "normal")], coverage_factor=2.0)
         check = check_targets(budget, "ota")
         assert check.passed
         assert check.margin_db == pytest.approx(0.0, abs=1e-12)
 
     def test_conducted_fail(self):
-        budget = combine_uncertainty([("a", 0.03)], coverage_factor=2.0)
+        budget = combine_uncertainty([("a", 0.03, "normal")], coverage_factor=2.0)
         assert not check_targets(budget, "conducted").passed
 
     def test_unknown_mode(self):
@@ -219,10 +224,41 @@ class TestTargets:
 
 
 class TestReport:
-    def test_extrapolation_dominates_re_power(self):
-        grid = map_ssb(SsbConfig(cell_id=CellId.from_cell(3), re_power=0.9))
-        powers = code_selective_power(grid, detection_for(3))
-        report = build_report(powers, n_re_total=1200, duty=0.5, mode="ota")
-        assert report.extrapolated_power >= max(powers.values())
-        assert report.target_check is not None
+    def test_extrapolation_dominates_re_power(self, burst_capture, params):
+        capture = burst_capture(re_power=0.9)
+        detection = enumerate_ssb_bursts(capture, params)
+        report = measure_exposure(capture, detection, params, n_re_total=1200, duty=0.5,
+                                  mode="ota")
+        assert report.extrapolated_power >= max(report.per_signal_re_power.values())
+        assert report.target_check.mode == "ota"
         assert report.uncertainty.expanded_db >= 0
+
+    def test_equals_per_burst_mean(self, burst_capture, params):
+        # four SSB indices at 5 dB SNR, shifted by a CFO the detection must carry
+        capture = burst_capture(cell=212, bursts=4, i_ssb_bar=2, snr_db=5.0, seed=18)
+        n = np.arange(len(capture))
+        capture = IqCapture(capture.samples * np.exp(2j * np.pi * 3.1e3 / capture.sample_rate * n),
+                            capture.sample_rate)
+        detection = enumerate_ssb_bursts(capture, params)
+        assert [b.i_ssb_bar for b in detection.bursts] == [2, 3, 4, 5]
+        assert detection.cfo != 0.0
+        per_burst = [
+            code_selective_power(
+                demodulate_burst(capture, b.timing, detection.cfo, params), detection, i)
+            for i, b in enumerate(detection.bursts)
+        ]
+        want = {name: float(np.mean([p[name] for p in per_burst])) for name in SIGNAL_CLASSES}
+        report = measure_exposure(capture, detection, params, n_re_total=600, duty=0.25,
+                                  mode="conducted", coverage_factor=3.0)
+        assert report.per_signal_re_power == want
+        assert (report.extrapolated_power, report.extrapolated_power_db) == (
+            extrapolate_exposure(want["sss"], 600, 0.25))
+        assert (report.n_re_total, report.duty) == (600, 0.25)
+        assert report.uncertainty == combine_uncertainty(DEFAULT_UNCERTAINTY_COMPONENTS, 3.0)
+        assert report.target_check == check_targets(report.uncertainty, "conducted")
+
+    def test_empty_detection_rejected(self, burst_capture, params):
+        empty = DetectionResult(cell_id=CellId.from_cell(3), bursts=[])
+        with pytest.raises(ValueError, match="no bursts"):
+            measure_exposure(burst_capture(), empty, params, n_re_total=1200, duty=1.0,
+                             mode="conducted")

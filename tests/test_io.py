@@ -234,6 +234,22 @@ class TestReports:
         raw = json.loads(path.read_text(), parse_constant=reject)
         assert raw == {"power_db": None, "ratio": None, "items": [None, 1.5]}
 
+    def test_arrays_and_complex_values(self, tmp_path):
+        m = np.array([[1 + 2j, 3 - 0.5j], [-0.0 + 1e-300j, np.inf + 0j]])
+        path = tmp_path / "report.json"
+        write_report(path, {"m": m, "d": np.array([0.5, np.nan]), "c": 1j,
+                            "level_db": np.array([1.23456])})
+        raw = json.loads(path.read_text())
+        assert raw == {"m": [[[1.0, 2.0], [3.0, -0.5]], [[-0.0, 1e-300], [None, 0.0]]],
+                       "d": [0.5, None], "c": [0.0, 1.0], "level_db": [1.23]}
+        # the same bytes as the element-by-element lists of Python floats
+        by_element = tmp_path / "by_element.json"
+        write_report(by_element, {
+            "m": [[[float(v.real), float(v.imag)] for v in row] for row in m],
+            "d": [0.5, float("nan")], "c": [0.0, 1.0], "level_db": [1.23456],
+        })
+        assert path.read_bytes() == by_element.read_bytes()
+
     def test_detection_report_round_trip(self, tmp_path):
         path = tmp_path / "det.json"
         result = DetectionResult(

@@ -28,3 +28,13 @@ class TestIqCaptureFiniteness:
 
     def test_empty_capture_accepted(self):
         assert len(IqCapture(np.zeros(0, dtype=complex), 1e6)) == 0
+
+
+class TestIqCaptureScale:
+    @pytest.mark.parametrize("scale", [0.0, -1.0, np.inf, np.nan])
+    def test_non_positive_or_non_finite_scale_rejected(self, scale):
+        with pytest.raises(ValueError, match="scale must be finite and > 0"):
+            IqCapture(np.ones(4, dtype=complex), 1e6, scale=scale)
+
+    def test_positive_scale_accepted(self):
+        assert IqCapture(np.ones(4, dtype=complex), 1e6, scale=1e-30).scale == 1e-30
