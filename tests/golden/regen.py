@@ -9,6 +9,7 @@ compares. Rewrite the file only for a change that is meant to move a report.
 """
 from __future__ import annotations
 
+import ctypes
 import json
 import platform
 import sys
@@ -63,12 +64,62 @@ def run_commands() -> dict:
     return reports
 
 
-def main() -> None:
-    golden = {
+def _cpu_features() -> list[str]:
+    """The CPU features numpy found, which pick its SIMD loops (exp, log, ...)."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+    return sorted(name for name, found in __cpu_features__.items() if found)
+
+
+def _blas_build() -> dict | None:
+    """The BLAS numpy was built against; None where numpy cannot say (< 1.25)."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return None
+    return {key: blas.get(key) for key in ("name", "version", "openblas configuration")}
+
+
+def _blas_cores() -> list[str]:
+    """The kernels each OpenBLAS loaded in this process picked for this CPU;
+    empty where there is no /proc/self/maps to find the libraries in."""
+    try:
+        maps = Path("/proc/self/maps").read_text(encoding="utf-8")
+    except OSError:
+        return []
+    cores = set()
+    for path in {line.split()[-1] for line in maps.splitlines() if "openblas" in line.lower()}:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for symbol in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
+                       "openblas_get_corename64_", "openblas_get_corename"):
+            corename = getattr(lib, symbol, None)
+            if corename is not None:
+                corename.restype = ctypes.c_char_p
+                cores.add(corename().decode())
+                break
+    return sorted(cores)
+
+
+def platform_fingerprint() -> dict:
+    """What decides the last bit of a report float besides the code: numpy's
+    version, the CPU features its loops dispatch on, and the BLAS build and
+    the kernels it picked at run time."""
+    return {
         "numpy": np.__version__,
         "machine": platform.machine(),
-        "reports": run_commands(),
+        "cpu_features": _cpu_features(),
+        "blas": _blas_build(),
+        "blas_cores": _blas_cores(),
     }
+
+
+def main() -> None:
+    golden = {"platform": platform_fingerprint(), "reports": run_commands()}
     GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {GOLDEN} ({GOLDEN.stat().st_size} bytes)", file=sys.stderr)
 
