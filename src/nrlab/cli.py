@@ -120,7 +120,7 @@ EXPOSURE_OPTIONS = (
     Opt("rb_count", int, 100, "resource blocks for extrapolation"),
     Opt("duty", float, 1.0, "duty factor in (0,1]"),
     Opt("mode", str, "conducted", "uncertainty target to check", choices=("conducted", "ota")),
-    Opt("coverage_k", float, 2.0, "coverage factor of the expanded uncertainty"),
+    Opt("coverage_k", float, 2.0, "coverage factor of the expanded uncertainty, finite and > 0"),
     Opt("out", help="report path (default <capture>.exposure.json)"),
 )
 
@@ -343,12 +343,14 @@ def _single_tap_smeared(n_bins: int, decay_bins: float, tap_bin: int) -> tuple[C
 
 
 def _out_of_bin_db(taps: np.ndarray, tap_bin: int) -> float:
+    """Power outside tap_bin relative to the power in it, in dB. The rest is
+    summed over the other bins, not taken as total minus peak, which leaves
+    only rounding once the peak holds nearly all the power."""
     power = np.abs(taps) ** 2
-    peak = power[tap_bin]
-    rest = power.sum() - peak
+    rest = np.delete(power, tap_bin).sum()
     if rest == 0:
         return -np.inf
-    return float(10.0 * np.log10(rest / peak))
+    return float(10.0 * np.log10(rest / power[tap_bin]))
 
 
 def cmd_otasim(cfg: dict) -> int:

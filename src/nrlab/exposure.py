@@ -139,7 +139,10 @@ def combine_uncertainty(
     Args:
         components: iterable of (name, standard uncertainty in dB,
             distribution tag) triples.
+        coverage_factor: k of the expanded uncertainty; finite and > 0.
     """
+    if not (math.isfinite(coverage_factor) and coverage_factor > 0):
+        raise ValueError(f"coverage factor must be finite and > 0, got {coverage_factor}")
     normalized = tuple((name, float(u_db), tag) for name, u_db, tag in components)
     for name, u_db, _ in normalized:
         if u_db < 0:
@@ -188,6 +191,7 @@ def measure_exposure(
     """
     if not detection.bursts:
         raise ValueError("detection contains no bursts")
+    budget = combine_uncertainty(DEFAULT_UNCERTAINTY_COMPONENTS, coverage_factor)
     per_burst = [
         code_selective_power(
             demodulate_burst(capture, burst.timing, detection.cfo, params), detection, index
@@ -196,7 +200,6 @@ def measure_exposure(
     ]
     powers = {name: float(np.mean([p[name] for p in per_burst])) for name in SIGNAL_CLASSES}
     linear, db = extrapolate_exposure(powers["sss"], n_re_total, duty)
-    budget = combine_uncertainty(DEFAULT_UNCERTAINTY_COMPONENTS, coverage_factor)
     return ExposureReport(
         per_signal_re_power=powers,
         extrapolated_power=linear,

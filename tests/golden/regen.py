@@ -4,12 +4,16 @@
 
 runs the commands below in a temporary directory and writes the reports they
 produce to reports.json, next to this file, with the directory replaced by
-"<tmp>" in every string. tests/test_golden.py runs the same commands and
+"<tmp>" in every string. The `sound` entry stands for the two CSV files of
+`nrlab sound --aoa --deembed` on a seeded 8-element scan (see write_scan):
+their SHA-256 digests, their parsed dB cells, the AoA peak cell and the
+number of masked AoA rows. tests/test_golden.py runs the same commands and
 compares. Rewrite the file only for a change that is meant to move a report.
 """
 from __future__ import annotations
 
 import ctypes
+import hashlib
 import json
 import platform
 import sys
@@ -20,6 +24,9 @@ import numpy as np
 
 GOLDEN = Path(__file__).with_name("reports.json")
 TMP = "<tmp>"
+
+SCAN_ELEMENTS = 8
+SCAN_POINTS = 31
 
 # (report file, nrlab command line); "{tmp}" is the working directory.
 COMMANDS = (
@@ -35,7 +42,61 @@ COMMANDS = (
                              "--out", "{tmp}/wireless_cable.json"]),
     ("rc.json", ["otasim", "rc", "--keyhole", "--cancel-demo", "--seed", "7",
                  "--out", "{tmp}/rc.json"]),
+    ("sound", ["sound", "--in", *(f"{{tmp}}/el{m}.csv" for m in range(SCAN_ELEMENTS)),
+               "--aoa", "--deembed", "--geometry", "{tmp}/array.json", "--pad", "2",
+               "--angle-step", "4", "--out", "{tmp}/pdp.csv", "--aoa-out", "{tmp}/aoa.csv"]),
 )
+
+
+def write_scan(tmp: str) -> None:
+    """Sweeps and geometry of a seeded 8-element half-wavelength array at
+    100 GHz: two far-field paths, noise, a per-point phase drift that each
+    sweep's pilot also carries, and a cos^2 element pattern with two nulls
+    below the -30 dB mask, at 56-64 and 76-84 degrees."""
+    from nrlab.io import write_geometry, write_sweep_csv
+    from nrlab.sounding import SPEED_OF_LIGHT, AntennaPattern, FrequencySweep
+
+    rng = np.random.default_rng(19)
+    df = 10e6
+    freqs = 100e9 + df * np.arange(SCAN_POINTS)
+    x = (np.arange(SCAN_ELEMENTS) - (SCAN_ELEMENTS - 1) / 2) * SPEED_OF_LIGHT / 100e9 / 2
+    angles = np.arange(-90.0, 91.0, 1.0)
+    gain = (0.2 + 0.8 * np.cos(np.deg2rad(angles)) ** 2) * np.exp(1j * np.deg2rad(angles) / 4)
+    gain[(np.abs(angles - 60) <= 4) | (np.abs(angles - 80) <= 4)] = 1e-2
+    pattern = AntennaPattern(angles, gain)
+    paths = ((-20.0, 6, 1.0), (36.0, 17, 0.6))  # (angle, delay bin, amplitude)
+    for m, xm in enumerate(x):
+        h = np.zeros(SCAN_POINTS, dtype=complex)
+        for angle, delay_bin, amplitude in paths:
+            tau = delay_bin / (SCAN_POINTS * df) + xm * np.sin(np.deg2rad(angle)) / SPEED_OF_LIGHT
+            a = amplitude * pattern.gain_at(np.array([angle]))[0]
+            h += a * np.exp(-2j * np.pi * freqs * tau)
+        h += 0.05 * (rng.standard_normal(SCAN_POINTS) + 1j * rng.standard_normal(SCAN_POINTS))
+        drift = np.exp(1j * rng.uniform(-np.pi, np.pi, SCAN_POINTS))
+        write_sweep_csv(Path(tmp, f"el{m}.csv"),
+                        FrequencySweep(freqs=freqs, h=h * drift, pilot=drift))
+    write_geometry(Path(tmp, "array.json"), np.stack([x, 0 * x, 0 * x], axis=1), pattern)
+
+
+def _csv_db_cells(path: Path) -> list[list[float | None]]:
+    """The dB columns of a PDP or AoA CSV, row by row; an empty cell is None."""
+    lines = path.read_text(encoding="utf-8").splitlines()[1:]
+    return [[float(c) if c else None for c in line.split(",")[1:]] for line in lines]
+
+
+def sound_outputs(tmp: str) -> dict:
+    """Digests and parsed cells of the PDP and AoA CSVs that `sound` wrote."""
+    pdp, aoa = Path(tmp, "pdp.csv"), Path(tmp, "aoa.csv")
+    aoa_db = _csv_db_cells(aoa)
+    cells = np.array(aoa_db, dtype=float)  # None -> NaN
+    return {
+        "pdp_csv_sha256": hashlib.sha256(pdp.read_bytes()).hexdigest(),
+        "aoa_csv_sha256": hashlib.sha256(aoa.read_bytes()).hexdigest(),
+        "pdp_power_db": [row[0] for row in _csv_db_cells(pdp)],
+        "aoa_power_db": aoa_db,
+        "aoa_peak_cell": [int(i) for i in np.unravel_index(np.nanargmax(cells), cells.shape)],
+        "aoa_masked_rows": int(np.isnan(cells).all(axis=1).sum()),
+    }
 
 
 def _normalized(value, tmp: str):
@@ -54,11 +115,14 @@ def run_commands() -> dict:
 
     reports = {}
     with tempfile.TemporaryDirectory() as tmp:
+        write_scan(tmp)
         for name, argv in COMMANDS:
             code = main([arg.replace("{tmp}", tmp) for arg in argv])
             if code != EXIT_OK:
                 raise RuntimeError(f"nrlab {' '.join(argv)} exited {code}")
-            if name is not None:
+            if name == "sound":
+                reports[name] = sound_outputs(tmp)
+            elif name is not None:
                 report = json.loads(Path(tmp, name).read_text(encoding="utf-8"))
                 reports[name] = _normalized(report, tmp)
     return reports
@@ -66,18 +130,15 @@ def run_commands() -> dict:
 
 def _cpu_features() -> list[str]:
     """The CPU features numpy found, which pick its SIMD loops (exp, log, ...)."""
-    try:
-        from numpy._core._multiarray_umath import __cpu_features__
-    except ImportError:  # numpy 1.x
-        from numpy.core._multiarray_umath import __cpu_features__
+    from numpy._core._multiarray_umath import __cpu_features__
+
     return sorted(name for name, found in __cpu_features__.items() if found)
 
 
 def _blas_build() -> dict | None:
-    """The BLAS numpy was built against; None where numpy cannot say (< 1.25)."""
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    except (TypeError, KeyError):
+    """The BLAS numpy was built against; None where its build names none."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"].get("blas")
+    if blas is None:
         return None
     return {key: blas.get(key) for key in ("name", "version", "openblas configuration")}
 

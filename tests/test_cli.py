@@ -144,6 +144,17 @@ class TestExposure:
         assert report["uncertainty"]["expanded_db"] > 0.5
         assert report["target_check"]["passed"] is False
 
+    @pytest.mark.parametrize("k", ["0", "-1", "nan", "inf"])
+    def test_bad_coverage_factor_exit_1(self, tmp_path, cell3_capture, capsys, k):
+        det = tmp_path / "det.json"
+        assert run("detect", "--in", cell3_capture, "--out", det) == EXIT_OK
+        out = tmp_path / "exp.json"
+        code = run("exposure", "--capture", cell3_capture, "--detection", det,
+                   "--coverage-k", k, "--out", out)
+        assert code == EXIT_ERROR
+        assert "error: coverage factor must be finite and > 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_empty_detection_exit_2(self, tmp_path):
         noise = tmp_path / "noise.iq"
         run("generate", "--out", noise, "--bursts", 0, "--snr-db", 0)
@@ -343,7 +354,9 @@ class TestOtasim:
 
     def test_non_finite_value_written_as_null(self, tmp_path):
         out = tmp_path / "rc.json"
-        assert run("otasim", "rc", "--cancel-demo", "--epsilon", 1e-12, "--out", out) == EXIT_OK
+        # so large an epsilon scales the corrected taps to ~1e-301, whose
+        # powers underflow to 0: no out-of-bin power, -inf dB
+        assert run("otasim", "rc", "--cancel-demo", "--epsilon", 1e300, "--out", out) == EXIT_OK
 
         def reject(constant):
             raise ValueError(f"report holds non-standard JSON constant {constant}")
@@ -431,3 +444,17 @@ class TestImports:
             check=True, timeout=120,
         )
         assert out.stdout.strip() == "[]"
+
+    def test_import_starts_no_thread(self):
+        # the AoA map's worker pool is made inside the call; importing the
+        # CLI starts no thread and loads no concurrent.futures
+        env = dict(os.environ, PYTHONPATH=str(Path(nrlab.__file__).parents[1]))
+        probe = (
+            "import sys, threading, nrlab.cli; "
+            "print(threading.active_count(), 'concurrent.futures' in sys.modules)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+            check=True, timeout=120,
+        )
+        assert out.stdout.split() == ["1", "False"]

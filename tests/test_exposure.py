@@ -187,6 +187,11 @@ class TestUncertainty:
         with pytest.raises(ValueError):
             combine_uncertainty([("bad", -0.1, "normal")])
 
+    @pytest.mark.parametrize("k", [0.0, -1.0, float("nan"), float("inf"), -float("inf")])
+    def test_bad_coverage_factor_rejected(self, k):
+        with pytest.raises(ValueError, match="coverage factor must be finite and > 0"):
+            combine_uncertainty([("a", 0.02, "normal")], coverage_factor=k)
+
     @given(
         us=st.lists(st.floats(0, 2.0), min_size=1, max_size=6),
         c=st.floats(0.1, 10.0),

@@ -5,9 +5,9 @@ fingerprint recorded in the file (numpy version, machine type, numpy's CPU
 features, the BLAS build and its run-time kernels) matches, floats must match
 to the bit. Elsewhere another FFT, SIMD loop or BLAS kernel may round
 differently, so a float must lie within 1e-9 relative, and a dB value (under a
-`_db` key), which a report rounds to 2 decimals, within 0.011.
-
-The paths in UNPINNED are compared for presence only.
+`_db` key), which a report rounds to 2 decimals, within 0.011. A SHA-256 digest
+(under a `_sha256` key) pins bytes that only the writing platform reproduces,
+so elsewhere it is left out and the parsed cells beside it are compared.
 """
 import copy
 import json
@@ -21,19 +21,10 @@ from golden.regen import GOLDEN, platform_fingerprint, run_commands
 REL_TOL = 1e-9
 DB_TOL = 0.011
 
-UNPINNED = {
-    # power.sum() - peak in cli._out_of_bin_db, with peak ~ 1 and the true rest
-    # ~ 2e-16: the ulp or two left over from cancellation, which another FFT
-    # build may round to 0 (null), 2 ulps (-153.5 dB) or a negative (NaN).
-    # `epsilon` stays pinned: it is the argmin of values that fall about 20 dB
-    # a decade, and this last one stays lowest while the leftover is under ~80 ulps.
-    "/rc.json/cancellation/out_of_bin_after_db",
-}
-
 
 def mismatches(got, want, exact: bool, path: str = "", is_db: bool = False) -> list[str]:
     """The paths at which `got` departs from `want`."""
-    if path in UNPINNED:
+    if not exact and path.endswith("_sha256"):
         return []
     if isinstance(want, dict):
         if not isinstance(got, dict) or got.keys() != want.keys():
@@ -89,13 +80,33 @@ def test_tolerances_off_the_writing_platform(golden):
     assert len(mismatches(got, want, exact=False)) == 2
 
 
-def test_cancellation_leftover_unpinned(golden):
+def test_cancellation_leftover_pinned(golden):
+    # summed over the bins other than the peak: -157.42 dB, where total minus
+    # peak left one ulp of rounding, -156.54 dB
     want = golden["reports"]["rc.json"]
+    assert want["cancellation"]["out_of_bin_after_db"] == -157.42
+    for leftover in (-156.54, None):
+        got = copy.deepcopy(want)
+        got["cancellation"]["out_of_bin_after_db"] = leftover
+        for exact in (True, False):
+            assert mismatches(got, want, exact, path="/rc.json") == [
+                f"/rc.json/cancellation/out_of_bin_after_db: {leftover!r} != -157.42"]
+
+
+def test_sound_digests_off_the_writing_platform(golden):
+    want = golden["reports"]["sound"]
+    assert want["aoa_masked_rows"] == 4
     got = copy.deepcopy(want)
-    got["cancellation"]["out_of_bin_after_db"] = None
-    assert mismatches(got, want, exact=True, path="/rc.json") == []
-    got["cancellation"]["epsilon"] = 1e-7
-    assert mismatches(got, want, exact=True, path="/rc.json") == [
-        "/rc.json/cancellation/epsilon: 1e-07 != 1e-08"]
-    del got["cancellation"]["out_of_bin_after_db"]
-    assert len(mismatches(got, want, exact=True, path="/rc.json")) == 1
+    got["aoa_csv_sha256"] = "0" * 64
+    got["aoa_power_db"][0][0] += 0.01
+    assert mismatches(got, want, exact=True, path="/sound") == [
+        f"/sound/aoa_csv_sha256: {'0' * 64!r} != {want['aoa_csv_sha256']!r}",
+        f"/sound/aoa_power_db/0/0: {got['aoa_power_db'][0][0]!r} != {want['aoa_power_db'][0][0]!r}"]
+    assert mismatches(got, want, exact=False, path="/sound") == []
+
+    row = next(i for i, cells in enumerate(want["aoa_power_db"]) if cells[0] is None)
+    got["aoa_power_db"][row][0] = -40.0  # a masked cell that is not masked
+    got["aoa_peak_cell"][1] += 1
+    assert mismatches(got, want, exact=False, path="/sound") == [
+        f"/sound/aoa_peak_cell/1: {want['aoa_peak_cell'][1] + 1} != {want['aoa_peak_cell'][1]}",
+        f"/sound/aoa_power_db/{row}/0: -40.0 != None"]

@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -16,6 +18,7 @@ from nrlab import (
     deembed_pattern,
     sweep_to_cir,
 )
+from nrlab import sounding
 from nrlab.sounding import AOA_ANGLE_BLOCK, SPEED_OF_LIGHT, _chirp_kernel, _delay_taps
 
 from aoa_reference import reference_aoa_delay_profile, reference_sweep_to_cir
@@ -470,6 +473,9 @@ class TestAoaReference:
              masked=(2 * AOA_ANGLE_BLOCK - 3, AOA_ANGLE_BLOCK + 2), seed=1)
     @example(n_elements=2, n_points=3, window="rectangular", pad_factor=1, n_angles=2,
              masked=None, seed=2)
+    # and across the boundary of the 8-angle blocks that two workers take
+    @example(n_elements=4, n_points=64, window="hann", pad_factor=2, n_angles=40,
+             masked=(AOA_ANGLE_BLOCK // 2 - 1, 3), seed=3)
     def test_random_arrays_match_per_angle_map(
         self, n_elements, n_points, window, pad_factor, n_angles, masked, seed
     ):
@@ -519,3 +525,111 @@ class TestAoaReference:
         sweeps = plane_wave_scan(ULA16, [(0.0, 0.0, 1.0)], freqs=FREQS[:2])
         with pytest.raises(ValueError, match="hann window over 2 points is all zeros"):
             aoa_delay_profile(VirtualArrayScan(ULA16, sweeps), ANGLES)
+
+
+def random_scan(rng, n_elements, n_points, angles, masked):
+    """A scan of random sweeps; with masked = (start, length), a pattern
+    tabulated on the angle grid that masks that run of angles."""
+    positions = rng.uniform(-0.02, 0.02, (n_elements, 3))
+    freqs = F_START + DF * np.arange(n_points)
+    sweeps = [FrequencySweep(freqs, rng.standard_normal(n_points) + 1j * rng.standard_normal(n_points))
+              for _ in range(n_elements)]
+    if masked is None:
+        return VirtualArrayScan(positions, sweeps)
+    gain = rng.uniform(0.1, 1, angles.size) * np.exp(2j * np.pi * rng.uniform(size=angles.size))
+    start, length = masked
+    gain[start:start + length] = 1e-3
+    gain[-1] = 1.0  # at least one valid angle
+    pattern = AntennaPattern(angles_deg=angles, gain=gain)
+    return deembed_pattern(VirtualArrayScan(positions, sweeps, pattern=pattern))
+
+
+def profile_with_workers(scan, angles, workers, **kwargs):
+    """The map with the CPU count forced to `workers`, and the number of
+    workers that ran."""
+    ran = []
+    run_rows = sounding._aoa_rows
+
+    def counted(todo, work, **rest):
+        ran.append(work)
+        run_rows(todo, work, **rest)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sounding, "_usable_cpus", lambda: workers)
+        mp.setattr(sounding, "_aoa_rows", counted)
+        return aoa_delay_profile(scan, angles, **kwargs), len(ran)
+
+
+class TestAoaWorkers:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n_elements=st.integers(2, 5),
+        n_points=st.integers(2, 40),
+        pad_factor=st.integers(1, 3),
+        n_angles=st.integers(2, 4 * AOA_ANGLE_BLOCK),
+        masked=st.one_of(st.none(), st.tuples(st.integers(0, 4 * AOA_ANGLE_BLOCK),
+                                             st.integers(1, AOA_ANGLE_BLOCK + 2))),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # masked runs across the boundaries of the 8-angle blocks of two workers
+    # and of the 5-angle blocks of three
+    @example(n_elements=3, n_points=20, pad_factor=2, n_angles=50, masked=(7, 3), seed=0)
+    @example(n_elements=2, n_points=9, pad_factor=1, n_angles=64, masked=(14, 12), seed=1)
+    # fewer valid angles than workers
+    @example(n_elements=2, n_points=5, pad_factor=1, n_angles=2, masked=None, seed=2)
+    @example(n_elements=4, n_points=12, pad_factor=3, n_angles=40, masked=(0, 38), seed=3)
+    def test_map_is_bit_identical_for_any_worker_count(
+        self, n_elements, n_points, pad_factor, n_angles, masked, seed
+    ):
+        rng = np.random.default_rng(seed)
+        angles = np.linspace(-90.0, 90.0, n_angles)
+        scan = random_scan(rng, n_elements, n_points, angles, masked)
+        window = "rectangular" if n_points == 2 else "hamming"
+        want, ran = profile_with_workers(scan, angles, 1, window=window, pad_factor=pad_factor)
+        n_valid = int(want.valid.sum())
+        assert ran == 1
+        for workers in (2, 3):
+            got, ran = profile_with_workers(scan, angles, workers, window=window,
+                                            pad_factor=pad_factor)
+            assert ran == min(workers, -(-n_valid // AOA_ANGLE_BLOCK))
+            for name in ("power_db", "valid", "delays", "angles_deg"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+    def test_no_thread_outlives_the_call(self):
+        rng = np.random.default_rng(5)
+        scan = random_scan(rng, 4, 50, ANGLES, None)
+        before = threading.active_count()
+        _, ran = profile_with_workers(scan, ANGLES, 2)
+        assert ran == 2
+        assert threading.active_count() == before
+
+    def test_more_workers_than_cores_switching_often(self):
+        # four workers share the block queue and the map; a block lost or
+        # written twice into the wrong rows would change the map's bytes
+        rng = np.random.default_rng(9)
+        scan = random_scan(rng, 3, 30, ANGLES, (40, 30))
+        want, _ = profile_with_workers(scan, ANGLES, 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                got, ran = profile_with_workers(scan, ANGLES, 4)
+                assert ran == 4
+                assert got.power_db.tobytes() == want.power_db.tobytes()
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_traced_peak_of_a_chamber_sized_map(self, workers):
+        # 16 elements x 1601 points x 181 angles: the map is 9.3 MB, and the
+        # workspaces hold the same 16 angles in flight for any worker count
+        rng = np.random.default_rng(11)
+        scan = random_scan(rng, 16, 1601, ANGLES, None)
+        tracemalloc.start()
+        try:
+            profile, ran = profile_with_workers(scan, ANGLES, workers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert profile.power_db.shape == (181, 6404) and ran == workers
+        assert peak <= 17e6, f"traced peak {peak} B"
