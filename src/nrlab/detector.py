@@ -3,21 +3,20 @@
 The PSS search is a normalized replica correlation computed by overlap-save:
 the capture is cut into overlapping blocks whose length is a multiple of the
 FFT size. Each sector's replica has one block spectrum, and an integer-bin
-CFO hypothesis is that spectrum rolled by whole bins, so a (sector, CFO bin)
-hypothesis costs one inverse transform. The blocks are streamed in groups of
-_SCAN_GROUP: each group is transformed once, its window energies continue a
-running |x|^2 sum carried from the group before, and all hypotheses share one
-set of group-sized product, magnitude and comparison buffers. Of each group's
-lags only the runs at or above the threshold, with a neighbour either side,
-are kept for peak picking, so the scan's memory is bounded by the group, not
-the capture. Each group is first screened in single precision: every
-hypothesis runs through complex64 transforms, and a sector takes the exact,
+CFO hypothesis is that spectrum rolled by whole bins. One kernel,
+_bin_maxima, takes the maximum over a sector's CFO bins of the inverse
+transforms, rolling, multiplying and transforming in place in reused
+buffers. The blocks are streamed in groups of _SCAN_GROUP, each transformed
+once into a preallocated buffer, and the window energies continue a running
+|x|^2 sum carried from the group before. Of each group's lags only the runs
+at or above the threshold, with a neighbour either side, are kept for peak
+picking, so the scan's memory is bounded by the group, not the capture.
+Each group is first screened by the kernel in single precision, in the
+first half of the exact pass's buffers; a sector takes the exact,
 double-precision pass only where the screen, widened by a proven bound on
-its rounding error, could reach the threshold. A sector that cannot keeps
-only the group's first and last lag, which lie below the threshold, so
-every lag at or above it is scored by the exact pass. The winning bin is
-refined by the phase slope between the two halves of the matched symbol,
-against a bin-shifted replica cached per sector and bin.
+its rounding error, could reach the threshold. The winning bin is refined
+by the phase slope between the two halves of the matched symbol, against a
+bin-shifted replica cached per sector and bin.
 Each burst is then demodulated once, its 4 symbols derotated and transformed
 in one call, and its grid feeds the frequency-domain matched correlations of
 the SSS and DM-RS stages against hypothesis banks cached per sector and cell.
@@ -25,7 +24,6 @@ the SSS and DM-RS stages against hypothesis banks cached per sector and cell.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -41,12 +39,12 @@ from .waveform import _demodulate_symbols, _subcarrier_bins, ofdm_modulate, ssb_
 # 1994): 3.2e-16 at 0.35, about 5e-10 false candidates per 1e5 samples over 15
 # hypotheses per lag. A matched burst at -6 dB SNR still scores ~0.45.
 DEFAULT_PSS_THRESHOLD = 0.35
-DEFAULT_MAX_CFO_BINS = 2
+MAX_CFO_BINS = 2  # the PSS scan's CFO hypotheses: integer bins -2..2
 
 # Overlap-save blocks per PSS scan group. At the default numerology the scan
-# then peaks at about 3.3 MB of traced memory, whatever the capture length:
-# the exact pass's buffers set the peak, and the single-precision screen
-# works inside them. Smaller groups pay Python overhead per group and
+# then peaks at about 3.0 MB of traced memory, whatever the capture length:
+# the buffers allocated once per call set the peak, and the single-precision
+# screen works inside them. Smaller groups pay Python overhead per group and
 # hypothesis.
 _SCAN_GROUP = 16
 
@@ -197,10 +195,11 @@ def _screen_spectra(params: OfdmParams) -> tuple[np.ndarray, np.ndarray]:
     return rounded, peak
 
 
-def _half_view(buf: np.ndarray, dtype: type) -> np.ndarray:
-    """The first half of a contiguous buffer's memory as `dtype`, half as
-    wide, in the buffer's shape."""
-    return buf.reshape(-1).view(dtype)[:buf.size].reshape(buf.shape)
+def _half_view(buf: np.ndarray) -> np.ndarray:
+    """The first half of a contiguous float64 or complex128 buffer's memory,
+    in single precision, in the buffer's shape."""
+    single = np.float32 if buf.dtype == np.float64 else np.complex64
+    return buf.reshape(-1).view(single)[:buf.size].reshape(buf.shape)
 
 
 def _find_peaks(
@@ -271,42 +270,38 @@ def _screen_bounds(blocks: np.ndarray, params: OfdmParams) -> np.ndarray:
     return np.outer(_screen_spectra(params)[1], norm)
 
 
-def _screened(
-    blocks: np.ndarray,
-    params: OfdmParams,
-    max_cfo_bins: int,
-    prod: np.ndarray,
-    mag: np.ndarray,
-    out: np.ndarray,
-) -> Iterator[np.ndarray]:
-    """The single-precision screen of a group of blocks: yields `out`,
-    shape (n_blocks, step), for sectors n2 = 0, 1, 2 in turn, holding the
-    maximum over the CFO bins of the correlation magnitude on each block's
-    first `step` lags.
+def _bin_maxima(
+    x_spec: np.ndarray, spectrum: np.ndarray, bin_shift: int, rolled: np.ndarray,
+    prod: np.ndarray, mag: np.ndarray, peak: np.ndarray,
+    k_best: np.ndarray | None = None, better: np.ndarray | None = None,
+) -> None:
+    """Write into `peak`, shape (n_blocks, step), the maximum over the CFO bins
+    k = -MAX_CFO_BINS..MAX_CFO_BINS of |ifft(x_spec * roll(spectrum, k *
+    bin_shift))| on each block's first `step` lags, in the buffers' dtype.
 
-    `prod` (complex64, the blocks' shape) and `mag` (float32, `out`'s
-    shape) are work buffers; `out` is overwritten for the next sector.
+    `rolled` (spectrum's shape), `prod` (x_spec's) and `mag` (peak's) are
+    work buffers. `k_best`, if given, receives the first (most negative)
+    bin that reaches each maximum, with `better` (bool) as its work buffer.
     """
-    block = blocks.shape[1]
-    step = out.shape[1]
-    bin_shift = block // params.fft_size
-    rolled = np.empty(block, dtype=np.complex64)
-    np.copyto(prod, blocks)
-    x_spec = np.fft.fft(prod, axis=1, norm="forward")
-    for spectrum in _screen_spectra(params)[0]:
-        out.fill(0.0)
-        for k in range(-max_cfo_bins, max_cfo_bins + 1):
-            shift = k * bin_shift % block  # rolled = np.roll(spectrum, k * bin_shift)
-            rolled[shift:] = spectrum[:block - shift]
-            rolled[:shift] = spectrum[block - shift:]
-            np.multiply(x_spec, rolled, out=prod)
-            np.abs(np.fft.ifft(prod, axis=1)[:, :step], out=mag)
-            np.maximum(out, mag, out=out)
-        yield out
+    block, step = rolled.size, peak.shape[1]
+    peak.fill(0.0)
+    if k_best is not None:
+        k_best.fill(-MAX_CFO_BINS)
+    for k in range(-MAX_CFO_BINS, MAX_CFO_BINS + 1):
+        shift = k * bin_shift % block  # spectrum rolled by k * bin_shift
+        rolled[shift:] = spectrum[:block - shift]
+        rolled[:shift] = spectrum[block - shift:]
+        np.multiply(x_spec, rolled, out=prod)
+        np.fft.ifft(prod, axis=1, out=prod)
+        np.abs(prod[:, :step], out=mag)
+        if k_best is not None:
+            np.greater(mag, peak, out=better)
+            np.putmask(k_best, better, k)
+        np.maximum(peak, mag, out=peak)
 
 
 def _pss_scan(
-    x: np.ndarray, params: OfdmParams, max_cfo_bins: int, threshold: float
+    x: np.ndarray, params: OfdmParams, threshold: float
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """(lags, metric, winning CFO bin) of the lags that peak picking needs,
     for sectors n2 = 0, 1, 2.
@@ -318,13 +313,14 @@ def _pss_scan(
     docstring describes, _SCAN_GROUP blocks at a time; of each group's lags
     only those that `_kept_lags` marks are returned.
 
-    Each group is first screened in single precision. A sector's exact,
-    double-precision pass runs only if at some lag with nonzero energy the
-    screen plus its bound `_screen_bounds` reaches threshold * denominator.
-    Otherwise no lag of the group can reach the threshold, and only the
-    group's first and last lag are returned, with the screened metric and
-    bin 0: below the threshold, they pick the same peaks as the exact
-    values would.
+    Both passes run `_bin_maxima` in one set of buffers allocated per call,
+    with every transform into a buffer or in place. The single-precision
+    screen runs first, in the first half of the buffers. A sector's exact
+    pass runs only if at some lag with nonzero energy the screen plus its
+    bound `_screen_bounds` reaches threshold * denominator. Otherwise no lag
+    of the group can reach the threshold, and only the group's first and
+    last lag are returned, with the screened metric and bin 0: below the
+    threshold, they pick the same peaks as the exact values would.
     """
     length = params.symbol_len
     n_lags = x.size - length + 1
@@ -336,23 +332,19 @@ def _pss_scan(
     step = block - length + 1
     n_blocks = -(-n_lags // step)
     bin_shift = block // params.fft_size
-    replicas = _pss_replicas(params)
-    ref_energy = [float(np.sum(np.abs(base) ** 2)) for base in replicas]
+    ref_energy = [float(np.sum(np.abs(base) ** 2)) for base in _pss_replicas(params)]
 
-    # Buffers shared by every group and hypothesis. The inverse transform
-    # still allocates its output: np.fft takes no out= before numpy 2.0.
-    # The screen works in the first half of the exact pass's product,
-    # magnitude and peak buffers, and is done with them before that pass.
+    # The kernel's buffers, shared by every group and hypothesis; the screen
+    # runs in single-precision views of their first halves.
     group = min(_SCAN_GROUP, n_blocks)
-    prod_buf = np.empty((group, block), dtype=np.complex128)
-    mag_buf = np.empty((group, step))
-    peak_buf = np.empty(group * step)
-    k_buf = np.empty(group * step, dtype=np.int64)
-    better_buf = np.empty(group * step, dtype=bool)
-    metric_buf = np.empty(group * step)
-    prod32_buf = _half_view(prod_buf, np.complex64)
-    mag32_buf = _half_view(mag_buf, np.float32)
-    screen_buf = _half_view(peak_buf, np.float32).reshape(group, step)
+    spec, prod = np.empty((2, group, block), dtype=np.complex128)
+    rolled = np.empty(block, dtype=np.complex128)
+    mag, peak = np.empty((2, group, step))
+    spec32, rolled32, prod32, mag32, peak32 = map(_half_view, (spec, rolled, prod, mag, peak))
+    k_best = np.empty((group, step), dtype=np.int64)
+    better = np.empty((group, step), dtype=bool)
+    metric_buf, energy_buf = np.empty((2, group * step))
+    csum_buf = np.empty(group * step + length)
 
     kept: list[list[tuple[np.ndarray, ...]]] = [[], [], []]
     carry = 0.0  # sum of |x|^2 before the group's first lag
@@ -368,63 +360,54 @@ def _pss_scan(
 
         # Running sum seeded with the carry: the same sequential additions,
         # so the same values, as one cumsum over the whole capture.
-        csum = np.empty(n + length)
+        csum = csum_buf[:n + length]
         csum[0] = carry
-        csum[1:] = np.abs(x[lo:lo + n + length - 1]) ** 2
+        np.square(np.abs(x[lo:lo + n + length - 1], out=csum[1:]), out=csum[1:])
         np.cumsum(csum, out=csum)
         carry = csum[n]
-        window_energy = csum[length:] - csum[:-length]
+        window_energy = np.subtract(csum[length:], csum[:-length], out=energy_buf[:n])
 
         # Screen every sector before any exact pass. A sample beyond single
         # precision's range makes the screen inf or NaN, which fails the
         # `slack > delta` test and so takes the exact pass.
         exact = []
         slack = metric_buf[:n]
+        x32 = spec32[:n_b]
         with np.errstate(over="ignore", invalid="ignore"):
             delta = _screen_bounds(blocks, params)
-            for n2, screened in enumerate(_screened(
-                blocks, params, max_cfo_bins,
-                prod32_buf[:n_b], mag32_buf[:n_b], screen_buf[:n_b],
-            )):
-                peak = screened.reshape(-1)[:n]
+            np.copyto(x32, blocks)
+            np.fft.fft(x32, axis=1, norm="forward", out=x32)
+            for n2, spectrum in enumerate(_screen_spectra(params)[0]):
+                _bin_maxima(x32, spectrum, bin_shift, rolled32, prod32[:n_b],
+                            mag32[:n_b], peak32[:n_b])
+                screened = peak32[:n_b].reshape(-1)[:n]
                 np.multiply(window_energy, ref_energy[n2], out=slack)
                 np.sqrt(slack, out=slack)  # the exact pass's denominators
                 np.multiply(slack, threshold, out=slack)
                 slack[slack <= 0] = np.inf  # a window without energy scores 0
-                np.subtract(slack, peak, out=slack)
+                np.subtract(slack, screened, out=slack)
                 if not np.all(np.minimum.reduceat(slack, np.arange(0, n, step))
                               > delta[n2, :n_b]):
                     exact.append(n2)
                     continue
                 ends = np.array(sorted({0, n - 1}))
                 denom = np.sqrt(window_energy[ends] * ref_energy[n2])
-                metric = np.divide(peak[ends], denom, out=np.zeros(ends.size),
-                                   where=denom > 0)
+                metric = np.divide(screened[ends], denom, out=np.zeros(ends.size), where=denom > 0)
                 kept[n2].append((lo + ends, metric, np.zeros(ends.size, dtype=np.int64)))
         if not exact:
             continue
 
-        x_spec = np.fft.fft(blocks, axis=1)
-        prod = prod_buf[:n_b]
-        block_mag = mag_buf[:n_b]
-        mag = block_mag.reshape(-1)[:n]
-        peak_corr, k_best = peak_buf[:n], k_buf[:n]
-        better, metric = better_buf[:n], metric_buf[:n]
+        x_spec = np.fft.fft(blocks, axis=1, out=spec[:n_b])
+        metric = metric_buf[:n]
         for n2 in exact:
-            spectrum = _pss_replica_spectra(params)[n2]
-            peak_corr.fill(0.0)
-            k_best.fill(0)
-            for k in range(-max_cfo_bins, max_cfo_bins + 1):
-                np.multiply(x_spec, np.roll(spectrum, k * bin_shift), out=prod)
-                np.abs(np.fft.ifft(prod, axis=1)[:, :step], out=block_mag)
-                np.greater(mag, peak_corr, out=better)
-                np.putmask(k_best, better, k)
-                np.maximum(peak_corr, mag, out=peak_corr)
-            denom = np.sqrt(window_energy * ref_energy[n2])
+            _bin_maxima(x_spec, _pss_replica_spectra(params)[n2], bin_shift, rolled,
+                        prod[:n_b], mag[:n_b], peak[:n_b], k_best[:n_b], better[:n_b])
+            denom = mag[:n_b].reshape(-1)[:n]  # free after the kernel
+            np.sqrt(np.multiply(window_energy, ref_energy[n2], out=denom), out=denom)
             metric.fill(0.0)
-            np.divide(peak_corr, denom, out=metric, where=denom > 0)
+            np.divide(peak[:n_b].reshape(-1)[:n], denom, out=metric, where=denom > 0)
             idx = np.flatnonzero(_kept_lags(metric, threshold))
-            kept[n2].append((lo + idx, metric[idx], k_best[idx]))
+            kept[n2].append((lo + idx, metric[idx], k_best[:n_b].reshape(-1)[idx]))
     return [tuple(np.concatenate(parts) for parts in zip(*runs)) for runs in kept]
 
 
@@ -441,13 +424,12 @@ def detect_pss(
     capture: IqCapture,
     params: OfdmParams,
     threshold: float = DEFAULT_PSS_THRESHOLD,
-    max_cfo_bins: int = DEFAULT_MAX_CFO_BINS,
 ) -> list[PssCandidate]:
     """Scan a capture for PSS symbols.
 
     Sliding normalized cross-correlation of the capture against the three
     OFDM-modulated PSS replicas, each over integer CFO hypotheses
-    -max_cfo_bins..+max_cfo_bins; local maxima with metric >= threshold
+    -MAX_CFO_BINS..+MAX_CFO_BINS; local maxima with metric >= threshold
     become candidates. The reported CFO is the winning integer hypothesis
     plus the fractional refinement, in Hz.
 
@@ -469,8 +451,6 @@ def detect_pss(
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
     _check_sample_rate(capture, params)
     x = capture.samples
-    if x.size == 0:
-        raise ValueError("empty capture")
     length = params.symbol_len
     if x.size < length:
         raise ValueError(
@@ -478,9 +458,7 @@ def detect_pss(
         )
     n_lags = x.size - length + 1
     candidates: list[PssCandidate] = []
-    for n2, (lags, metric, k_best) in enumerate(
-        _pss_scan(x, params, max_cfo_bins, threshold)
-    ):
+    for n2, (lags, metric, k_best) in enumerate(_pss_scan(x, params, threshold)):
         # sentinels either side, so maxima at the capture edges are still
         # local peaks
         for i in _find_peaks(

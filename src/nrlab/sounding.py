@@ -332,9 +332,9 @@ def _beamform(padded: np.ndarray, steps: tuple, tau: np.ndarray, work: tuple) ->
 
 
 def _aoa_rows(todo, work, padded, steps, n, delays_m, gains, spectrum, power) -> None:
-    """Take blocks of valid angles (row indices into power) from the deque
-    todo until it is empty; beamform and delay-transform each over the n
-    sweep points, and write the tap magnitudes into those rows of power.
+    """Take blocks of valid angles (slices of contiguous rows of power) from
+    the deque todo until it is empty; beamform and delay-transform each over
+    the n sweep points, and write the tap magnitudes into those rows of power.
 
     work is _beamform's buffers plus two (block, L) complex buffers a and b
     for the chirp convolution of length L, so a worker allocates no sum- or
@@ -347,19 +347,14 @@ def _aoa_rows(todo, work, padded, steps, n, delays_m, gains, spectrum, power) ->
             rows = todo.popleft()  # thread-safe
         except IndexError:
             return
-        k = rows.size
+        k = rows.stop - rows.start
         x = _beamform(padded, steps, delays_m[:, rows], beam)[:, :n]
         if gains is not None:
             x /= gains[rows, None]
         np.fft.fft(x, spectrum.size, out=b[:k])
         b[:k] *= spectrum
         np.fft.ifft(b[:k], out=a[:k])
-        if rows[-1] - rows[0] == k - 1:
-            np.abs(a[:k, :n_fft], out=power[rows[0]:rows[0] + k])
-        else:  # masked angles leave gaps between the rows: via b, now free
-            mags = b.view(np.float64)[:k, :n_fft]
-            np.abs(a[:k, :n_fft], out=mags)
-            power[rows] = mags
+        np.abs(a[:k, :n_fft], out=power[rows])
 
 
 def aoa_delay_profile(
@@ -385,11 +380,11 @@ def aoa_delay_profile(
     may run on, capped at the number of AOA_ANGLE_BLOCK blocks and at
     AOA_MAX_WORKERS. The AOA_ANGLE_BLOCK angles in flight are shared among
     the workers, so peak memory does not grow with the core count: each takes
-    the next block of AOA_ANGLE_BLOCK // workers angles from a shared queue,
-    so a worker on a busy core takes fewer. A worker writes only the rows of
-    its blocks in the one map-sized buffer, and works in a workspace
-    allocated here, once per call. A row's values do not depend on the
-    worker count. The conversion to dB, in place, follows in this thread.
+    the next block of at most AOA_ANGLE_BLOCK // workers adjacent valid
+    angles from a shared queue, so a worker on a busy core takes fewer. A
+    worker writes only its blocks' rows of the map, in a workspace allocated
+    here, once per call. A row's values do not depend on the worker count.
+    The conversion to dB, in place, follows in this thread.
     """
     angles = np.asarray(angle_grid_deg, dtype=np.float64)
     if angles.ndim != 1 or angles.size < 1:
@@ -421,10 +416,12 @@ def aoa_delay_profile(
     spectrum = _chirp_kernel(n, n_fft)[1]
     power = np.empty((angles.size, n_fft))  # the workers write every valid row
     power[~valid] = np.nan
-    valid_rows = np.flatnonzero(valid)
-    workers = min(_usable_cpus(), -(-valid_rows.size // AOA_ANGLE_BLOCK), AOA_MAX_WORKERS)
+    workers = min(_usable_cpus(), -(-int(valid.sum()) // AOA_ANGLE_BLOCK), AOA_MAX_WORKERS)
     block = AOA_ANGLE_BLOCK // workers
-    todo = deque(valid_rows[s:s + block] for s in range(0, valid_rows.size, block))
+    # each run of valid angles in blocks of at most `block`, so no block spans a masked one
+    runs = np.flatnonzero(np.diff(valid, prepend=False, append=False)).reshape(-1, 2)
+    todo = deque(slice(s, min(s + block, stop)) for start, stop in runs
+                 for s in range(start, stop, block))
     shapes = ((n_elem, block, n_coarse), (n_elem, block, step), (block, n_coarse, step),
               (block, n_coarse, step), (block, spectrum.size), (block, spectrum.size))
     spaces = [tuple(np.empty(shape, np.complex128) for shape in shapes) for _ in range(workers)]

@@ -24,7 +24,9 @@ from nrlab import (
 from nrlab import detector
 from nrlab.detector import (
     DEFAULT_PSS_THRESHOLD,
+    MAX_CFO_BINS,
     _SCAN_GROUP,
+    _bin_maxima,
     _find_peaks,
     _fractional_cfo,
     _kept_lags,
@@ -32,7 +34,7 @@ from nrlab.detector import (
     _pss_replicas,
     _scan_block_len,
     _screen_bounds,
-    _screened,
+    _screen_spectra,
     _sss_from_grid,
 )
 from nrlab.otasim import awgn
@@ -151,12 +153,13 @@ def exact(cands):
 def assert_matches_whole_scan(capture, params, threshold=DEFAULT_PSS_THRESHOLD,
                               max_cfo_bins=2):
     """detect_pss returns exactly the candidates of the whole-capture scan,
-    whatever the number of blocks per scan group; returns that scan's
-    (candidate, bin) pairs."""
+    whatever the number of blocks per scan group, with max_cfo_bins in
+    place of MAX_CFO_BINS; returns that scan's (candidate, bin) pairs."""
     want = allocating_detect_pss(capture, params, threshold, max_cfo_bins)
     for group in sorted({1, 3, _SCAN_GROUP}):
-        with mock.patch.object(detector, "_SCAN_GROUP", group):
-            cands = detect_pss(capture, params, threshold, max_cfo_bins)
+        with mock.patch.object(detector, "_SCAN_GROUP", group), \
+                mock.patch.object(detector, "MAX_CFO_BINS", max_cfo_bins):
+            cands = detect_pss(capture, params, threshold)
         assert exact(cands) == exact(c for c, _ in want), group
     return want
 
@@ -277,7 +280,7 @@ def capture_blocks(x, params):
     return np.lib.stride_tricks.sliding_window_view(padded, block)[::step]
 
 
-def screen_error_ratio(capture, params, max_cfo_bins=2):
+def screen_error_ratio(capture, params):
     """The largest error of the single-precision screen, over its bound delta,
     at any lag of any sector: the double-precision maximum over the CFO bins
     of the correlation magnitude is taken as exact."""
@@ -286,14 +289,17 @@ def screen_error_ratio(capture, params, max_cfo_bins=2):
     bin_shift = block // params.fft_size
     delta = _screen_bounds(blocks, params)
     x_spec = np.fft.fft(blocks, axis=1)
+    x32 = np.fft.fft(blocks.astype(np.complex64), axis=1, norm="forward")
+    rolled = np.empty(block, dtype=np.complex64)
     prod = np.empty(blocks.shape, dtype=np.complex64)
     mag = np.empty((blocks.shape[0], step), dtype=np.float32)
-    out = np.empty_like(mag)
+    screened = np.empty_like(mag)
     ratio = 0.0
-    screens = _screened(blocks, params, max_cfo_bins, prod, mag, out)
-    for n2, (screened, spectrum) in enumerate(zip(screens, _pss_replica_spectra(params))):
+    spectra = zip(_screen_spectra(params)[0], _pss_replica_spectra(params))
+    for n2, (spectrum32, spectrum) in enumerate(spectra):
+        _bin_maxima(x32, spectrum32, bin_shift, rolled, prod, mag, screened)
         exact = np.zeros(mag.shape)
-        for k in range(-max_cfo_bins, max_cfo_bins + 1):
+        for k in range(-MAX_CFO_BINS, MAX_CFO_BINS + 1):
             corr = np.fft.ifft(x_spec * np.roll(spectrum, k * bin_shift), axis=1)
             np.maximum(exact, np.abs(corr[:, :step]), out=exact)
         error = np.abs(screened - exact).max(axis=1)
@@ -376,6 +382,53 @@ class TestScreenedScan:
                                  cfo_bins=0.3, snr_db=20.0, seed=1)
         assert _scan_block_len(p512) == 4096
         assert screen_error_ratio(capture, p512) <= 1 / 8
+
+
+class TestBinMaxima:
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    def test_exact_ties_go_to_the_most_negative_bin(self, dtype, params):
+        # An all-ones spectrum rolls onto itself, so every bin gives the
+        # same magnitudes, bit for bit; a block of zeros ties at 0.
+        block, step = scan_block_geometry(params)
+        rng = np.random.default_rng(8)
+        x_spec = (rng.standard_normal((3, block))
+                  + 1j * rng.standard_normal((3, block))).astype(dtype)
+        x_spec[1] = 0
+        peak = np.empty((3, step), dtype=x_spec.real.dtype)
+        k_best = np.zeros(peak.shape, dtype=np.int64)
+        _bin_maxima(x_spec, np.ones(block, dtype), block // params.fft_size,
+                    np.empty(block, dtype), np.empty_like(x_spec), np.empty_like(peak),
+                    peak, k_best, np.empty(peak.shape, dtype=bool))
+        assert_array_equal(k_best, -MAX_CFO_BINS)
+        assert peak.tobytes() == np.abs(np.fft.ifft(x_spec, axis=1)[:, :step]).tobytes()
+
+
+class TestInPlaceFft:
+    """The scan transforms in place and into preallocated buffers; that
+    gives the bits of the allocating transforms, and a row's transform does
+    not depend on the rows batched with it."""
+
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    def test_out_is_bit_identical_to_allocating(self, dtype, params):
+        block, step = scan_block_geometry(params)
+        rng = np.random.default_rng(2)
+        span = rng.standard_normal(15 * step + block) + 1j * rng.standard_normal(15 * step + block)
+        # the overlap-save blocks, as the scan cuts them: rows `step` apart
+        blocks = np.lib.stride_tricks.sliding_window_view(span.astype(dtype), block)[::step]
+        assert blocks.shape[0] == 16
+        for transform in (np.fft.fft, np.fft.ifft):
+            for norm in (None, "forward"):
+                whole = transform(blocks, axis=1, norm=norm)
+                assert whole.dtype == dtype
+                for rows in range(1, 17):
+                    want = transform(blocks[:rows], axis=1, norm=norm)
+                    assert want.tobytes() == whole[:rows].tobytes(), (transform, norm, rows)
+                    in_place = np.array(blocks[:rows])
+                    transform(in_place, axis=1, norm=norm, out=in_place)
+                    into = np.empty_like(in_place)
+                    transform(blocks[:rows], axis=1, norm=norm, out=into)
+                    for got in (in_place, into):
+                        assert got.tobytes() == want.tobytes(), (transform, norm, rows)
 
 
 class TestFindPeaks:
