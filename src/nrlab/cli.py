@@ -12,6 +12,7 @@ import argparse
 import logging
 import sys
 from dataclasses import asdict, dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -34,21 +35,18 @@ from .io import (
 from .otasim import (
     RcChannelModel,
     awgn,
-    cancel_rc_decay,
     compute_calibration,
     estimate_transfer_matrix,
     isolation_db,
-    make_rsrp_sounder,
     random_well_conditioned,
     simulate_rc_channel,
+    sound_rsrp,
 )
 from .sounding import (
-    Cir,
     VirtualArrayScan,
     aoa_delay_profile,
     cir_to_pdp,
     compensate_phase,
-    deembed_pattern,
     sweep_to_cir,
 )
 from .types import CellId, OfdmParams, SsbConfig
@@ -147,8 +145,6 @@ OTASIM_OPTIONS = (
     Opt("n_taps", int, 32, "number of delay taps"),
     Opt("tap_spacing", float, 5e-8, "tap spacing, s"),
     Opt("keyhole", bool, False, "double-Rayleigh keyhole fading"),
-    Opt("cancel_demo", bool, False, "include a decay-cancellation demonstration"),
-    Opt("epsilon", float, None, "deconvolution regularizer (default: swept)"),
     _SEED,
     Opt("out", help="report path", required=True),
 )
@@ -306,14 +302,7 @@ def cmd_sound(cfg: dict) -> int:
         if cfg["geometry"] is None:
             raise ValueError("--geometry is required with --aoa")
         elements, pattern = read_geometry(cfg["geometry"])
-        if len(sweeps) != elements.shape[0]:
-            raise ValueError(
-                f"AoA mode needs one sweep per element: got {len(sweeps)} sweeps "
-                f"for {elements.shape[0]} elements"
-            )
-        scan = VirtualArrayScan(elements, sweeps, pattern=pattern)
-        if cfg["deembed"]:
-            scan = deembed_pattern(scan)
+        scan = VirtualArrayScan(elements, sweeps, pattern, compensate_pattern=cfg["deembed"])
         step = cfg["angle_step"]
         if not (step > 0 and np.isfinite([cfg["angle_start"], cfg["angle_stop"], step]).all()):
             raise ValueError(
@@ -333,32 +322,12 @@ def cmd_sound(cfg: dict) -> int:
     return EXIT_OK
 
 
-def _single_tap_smeared(n_bins: int, decay_bins: float, tap_bin: int) -> tuple[Cir, Cir]:
-    """Demo pair: a chamber decay kernel and a single tap smeared by it."""
-    k = np.arange(n_bins)
-    kernel = np.exp(-k / (2.0 * decay_bins)).astype(np.complex128)
-    measured = np.roll(kernel, tap_bin)
-    meta = {"delay_resolution": 1.0, "max_delay": float(n_bins)}
-    return Cir(taps=measured, **meta), Cir(taps=kernel, **meta)
-
-
-def _out_of_bin_db(taps: np.ndarray, tap_bin: int) -> float:
-    """Power outside tap_bin relative to the power in it, in dB. The rest is
-    summed over the other bins, not taken as total minus peak, which leaves
-    only rounding once the peak holds nearly all the power."""
-    power = np.abs(taps) ** 2
-    rest = np.delete(power, tap_bin).sum()
-    if rest == 0:
-        return -np.inf
-    return float(10.0 * np.log10(rest / power[tap_bin]))
-
-
 def cmd_otasim(cfg: dict) -> int:
     _check_writable(cfg["out"])
     if cfg["mode"] == "wireless-cable":
         rng = np.random.default_rng(cfg["seed"])
         truth = random_well_conditioned(cfg["ports"], rng)
-        sounder = make_rsrp_sounder(truth, noise_db=cfg["snr_db"], rng=rng)
+        sounder = partial(sound_rsrp, truth, noise_db=cfg["snr_db"], rng=rng)
         estimate = estimate_transfer_matrix(sounder, truth.n_ports)
         calibration = compute_calibration(estimate)
         isolation = isolation_db(truth.a @ calibration)
@@ -380,22 +349,6 @@ def cmd_otasim(cfg: dict) -> int:
         )
         realization = simulate_rc_channel(model)
         payload = {"delays_s": realization.delays, "gains": realization.gains}
-        if cfg["cancel_demo"]:
-            tap_bin = 40
-            measured, reference = _single_tap_smeared(256, decay_bins=10.0, tap_bin=tap_bin)
-            # without a given epsilon, sweep decades for the cleanest single tap
-            epsilons = ([10.0 ** -e for e in range(1, 9)] if cfg["epsilon"] is None
-                        else [cfg["epsilon"]])
-            corrected = [cancel_rc_decay(measured, reference, eps) for eps in epsilons]
-            after_db = [_out_of_bin_db(c.taps, tap_bin) for c in corrected]
-            best = int(np.argmin(after_db))
-            payload["cancellation"] = {
-                "epsilon": epsilons[best],
-                "tap_bin": tap_bin,
-                "out_of_bin_before_db": _out_of_bin_db(measured.taps, tap_bin),
-                "out_of_bin_after_db": after_db[best],
-                "flags": list(corrected[best].flags),
-            }
     payload["config"] = cfg
     write_report(cfg["out"], payload)
     LOG.info("%s report written to %s", cfg["mode"], cfg["out"])

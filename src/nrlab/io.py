@@ -35,8 +35,13 @@ def write_capture(
     seed: int | None = None,
     extra: dict | None = None,
 ) -> None:
-    """Write raw float32 IQ plus its sidecar; extra keys are carried through."""
-    Path(path).write_bytes((capture.samples / capture.scale).astype("<c8").tobytes())
+    """Write raw float32 IQ plus its sidecar; extra keys are carried through.
+    A capture whose scaled samples overflow float32 writes nothing."""
+    with np.errstate(over="ignore"):
+        samples = (capture.samples / capture.scale).astype("<c8")
+    if not np.isfinite(samples).all():
+        raise ValueError(f"capture {path} overflows float32 at scale {capture.scale!r}")
+    Path(path).write_bytes(samples.tobytes())
 
     sidecar = dict(extra or {})
     sidecar["sample_rate_hz"] = capture.sample_rate
@@ -232,11 +237,17 @@ def write_report(path, payload: dict) -> None:
     )
 
 
+def _reject_constant(constant: str):
+    raise ValueError(f"{constant} is not a JSON number")
+
+
 def read_json_object(path, what: str) -> dict:
-    """Load a JSON file that must hold an object; `what` names the file in errors."""
+    """Load a JSON file that must hold an object; `what` names the file in
+    errors. NaN, Infinity and -Infinity, which are not JSON, are rejected."""
+    text = Path(path).read_text(encoding="utf-8")
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+        raw = json.loads(text, parse_constant=_reject_constant)
+    except ValueError as exc:
         raise ValueError(f"{what} {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ValueError(f"{what} {path} must hold a JSON object")

@@ -60,12 +60,12 @@ class RcChannelModel:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.tau_rc > 0:
-            raise ValueError(f"tau_rc must be > 0, got {self.tau_rc}")
+        if not 0 < self.tau_rc < np.inf:
+            raise ValueError(f"tau_rc must be finite and > 0, got {self.tau_rc}")
         if self.n_taps < 1:
             raise ValueError(f"n_taps must be >= 1, got {self.n_taps}")
-        if not self.tap_spacing > 0:
-            raise ValueError(f"tap_spacing must be > 0, got {self.tap_spacing}")
+        if not 0 < self.tap_spacing < np.inf:
+            raise ValueError(f"tap_spacing must be finite and > 0, got {self.tap_spacing}")
 
 
 @dataclass
@@ -80,6 +80,8 @@ class FadingRealization:
         self.gains = np.asarray(self.gains, dtype=np.complex128)
         if self.delays.shape != self.gains.shape or self.delays.ndim != 1:
             raise ValueError("delays and gains must be matching 1-D arrays")
+        if not (np.isfinite(self.delays).all() and np.isfinite(self.gains).all()):
+            raise ValueError("delays and gains must be finite")
         if self.delays.size and self.delays[0] < 0:
             raise ValueError("delays must be nonnegative")
         if np.any(np.diff(self.delays) <= 0):

@@ -138,7 +138,10 @@ class VirtualArrayScan:
         if self.element_positions.ndim != 2 or self.element_positions.shape[1] != 3:
             raise ValueError("element_positions must have shape (n_elements, 3)")
         if len(self.sweeps) != self.element_positions.shape[0]:
-            raise ValueError("one sweep per element position required")
+            raise ValueError(
+                f"one sweep per element position required: got {len(self.sweeps)} sweeps "
+                f"for {self.element_positions.shape[0]} elements"
+            )
         if len(self.sweeps) < 1:
             raise ValueError("scan needs at least one element")
         f0 = self.sweeps[0].freqs

@@ -40,8 +40,7 @@ COMMANDS = (
                            "--out", "{tmp}/exposure_ota.json"]),
     ("wireless_cable.json", ["otasim", "wireless-cable", "--ports", "8", "--seed", "3",
                              "--out", "{tmp}/wireless_cable.json"]),
-    ("rc.json", ["otasim", "rc", "--keyhole", "--cancel-demo", "--seed", "7",
-                 "--out", "{tmp}/rc.json"]),
+    ("rc.json", ["otasim", "rc", "--keyhole", "--seed", "7", "--out", "{tmp}/rc.json"]),
     ("sound", ["sound", "--in", *(f"{{tmp}}/el{m}.csv" for m in range(SCAN_ELEMENTS)),
                "--aoa", "--deembed", "--geometry", "{tmp}/array.json", "--pad", "2",
                "--angle-step", "4", "--out", "{tmp}/pdp.csv", "--aoa-out", "{tmp}/aoa.csv"]),

@@ -11,7 +11,14 @@ import pytest
 
 import nrlab
 from nrlab.cli import EXIT_ERROR, EXIT_NO_FINDINGS, EXIT_OK, main
-from nrlab.io import read_json_object, read_sidecar, write_sweep_csv
+from nrlab import CellId, DetectionResult, SsbBurst
+from nrlab.io import (
+    read_json_object,
+    read_sidecar,
+    sidecar_path,
+    write_detection_report,
+    write_sweep_csv,
+)
 from nrlab.sounding import FrequencySweep
 
 
@@ -58,6 +65,13 @@ class TestGenerate:
         assert sidecar["sample_rate_hz"] == pytest.approx(256 * 30e3)
         assert sidecar["seed"] == 1
         assert sidecar["generator_config"]["cell"] == 3
+
+    def test_float32_overflow_writes_nothing(self, tmp_path, capsys):
+        path = tmp_path / "loud.iq"
+        assert run("generate", "--out", path, "--re-power", 1e80) == EXIT_ERROR
+        assert "overflows float32 at scale 1.0" in capsys.readouterr().err
+        assert not path.exists()
+        assert not sidecar_path(path).exists()
 
     def test_unwritable_path_fails(self, tmp_path):
         assert run("generate", "--out", tmp_path / "nope" / "x.iq") == EXIT_ERROR
@@ -274,18 +288,21 @@ class TestSound:
         assert run("sound", "--in", sweep_path, "--out", out, "--window", "hamming") == EXIT_OK
 
     @pytest.mark.parametrize("case", ["angle-step-0", "deembed-no-pattern",
-                                      "grid-wider-than-pattern"])
+                                      "grid-wider-than-pattern", "nan-in-geometry"])
     def test_failed_aoa_run_writes_no_file(self, tmp_path, capsys, case):
         paths, geo = self.make_broadside_scan(tmp_path)
         extra, message = {
             "angle-step-0": (["--angle-step", 0], "angle grid needs"),
             "deembed-no-pattern": (["--deembed"], "needs a scan with an antenna pattern"),
             "grid-wider-than-pattern": (["--deembed"], "does not cover the requested angles"),
+            "nan-in-geometry": ([], "is not valid JSON: NaN is not a JSON number"),
         }[case]
+        geometry = json.loads(geo.read_text())
         if case == "grid-wider-than-pattern":
-            geometry = json.loads(geo.read_text())
             geometry["pattern"] = [[a, 0.0, 0.0] for a in (-30.0, 0.0, 30.0)]
-            geo.write_text(json.dumps(geometry))
+        elif case == "nan-in-geometry":
+            geometry["elements"][0][0] = float("nan")  # json.dumps writes NaN
+        geo.write_text(json.dumps(geometry))
         out, aoa_out = tmp_path / "pdp.csv", tmp_path / "aoa.csv"
         assert run(
             "sound", "--in", *paths, "--aoa", "--geometry", geo, *extra,
@@ -317,15 +334,20 @@ class TestSound:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
-    def test_wrong_element_count(self, tmp_path):
+    def test_wrong_element_count(self, tmp_path, capsys):
         sweep_path = tmp_path / "sweep.csv"
         self.make_two_path_sweep(sweep_path)
         geo = tmp_path / "geo.json"
         geo.write_text(json.dumps({"elements": [[0, 0, 0], [0.001, 0, 0]]}))
+        out, aoa_out = tmp_path / "pdp.csv", tmp_path / "aoa.csv"
         assert run(
             "sound", "--in", sweep_path, "--aoa", "--geometry", geo,
-            "--out", tmp_path / "pdp.csv",
+            "--out", out, "--aoa-out", aoa_out,
         ) == EXIT_ERROR
+        assert ("error: one sweep per element position required: got 1 sweeps for 2 elements"
+                in capsys.readouterr().err)
+        assert not out.exists()
+        assert not aoa_out.exists()
 
 
 class TestOtasim:
@@ -344,25 +366,29 @@ class TestOtasim:
         assert run("otasim", "rc", "--seed", 11, "--keyhole", "--out", out) == EXIT_OK
         assert out.read_bytes() == first
 
-    def test_rc_cancellation_demo(self, tmp_path):
+    def test_non_finite_tap_spacing_exit_1(self, tmp_path, capsys):
         out = tmp_path / "rc.json"
-        assert run("otasim", "rc", "--cancel-demo", "--out", out) == EXIT_OK
-        report = read_json_object(out, "report")
-        demo = report["cancellation"]
-        assert demo["out_of_bin_before_db"] > -5.0
-        assert demo["out_of_bin_after_db"] <= -20.0
+        assert run("otasim", "rc", "--tap-spacing", "inf", "--out", out) == EXIT_ERROR
+        assert "tap_spacing must be finite and > 0, got inf" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_finite_value_written_as_null(self, tmp_path):
-        out = tmp_path / "rc.json"
-        # so large an epsilon scales the corrected taps to ~1e-301, whose
-        # powers underflow to 0: no out-of-bin power, -inf dB
-        assert run("otasim", "rc", "--cancel-demo", "--epsilon", 1e300, "--out", out) == EXIT_OK
+        # a burst placed in the silent lead-in despreads to zero power in
+        # every class, whose dB values are -inf
+        capture = tmp_path / "quiet.iq"
+        assert run("generate", "--out", capture, "--lead-in", 3000) == EXIT_OK
+        det = tmp_path / "det.json"
+        burst = SsbBurst(timing=0, i_ssb_bar=0, pss_metric=1.0, sss_metric=1.0, dmrs_metric=1.0)
+        write_detection_report(det, DetectionResult(CellId(n1=0, n2=0), [burst], cfo=0.0), {})
+        out = tmp_path / "exp.json"
+        assert run("exposure", "--capture", capture, "--detection", det, "--out", out) == EXIT_OK
 
         def reject(constant):
             raise ValueError(f"report holds non-standard JSON constant {constant}")
 
         report = json.loads(out.read_text(), parse_constant=reject)
-        assert report["cancellation"]["out_of_bin_after_db"] is None
+        assert set(report["per_signal_re_power_db"].values()) == {None}
+        assert report["extrapolated_power_db"] is None
 
 
 class TestConfigangling:
@@ -416,6 +442,8 @@ class TestUsage:
         ("detect", "--no-such-flag"),
         ("otasim", "--out", "x.json"),
         (),
+        ("otasim", "rc", "--cancel-demo", "--out", "x.json"),
+        ("otasim", "rc", "--epsilon", "1e-3", "--out", "x.json"),
     ])
     def test_usage_errors_exit_1(self, argv):
         assert run(*argv) == EXIT_ERROR

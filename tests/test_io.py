@@ -268,6 +268,13 @@ class TestReports:
         with pytest.raises(ValueError, match="missing field"):
             read_detection_report(path)
 
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_read_rejects_non_standard_constants(self, tmp_path, constant):
+        path = tmp_path / "geo.json"
+        path.write_text(f'{{"elements": [[{constant}, 0, 0]]}}')
+        with pytest.raises(ValueError, match=f"is not valid JSON: {constant} is not a JSON number"):
+            read_json_object(path, "geometry file")
+
     def test_read_rejects_non_object(self, tmp_path):
         path = tmp_path / "report.json"
         path.write_text("[1, 2, 3]")

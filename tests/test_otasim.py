@@ -225,6 +225,9 @@ class TestRcChannel:
             RcChannelModel(tau_rc=-1.0, n_taps=4, tap_spacing=1e-8)
         with pytest.raises(ValueError):
             RcChannelModel(tau_rc=1e-7, n_taps=0, tap_spacing=1e-8)
+        for tau_rc, tap_spacing in ((np.inf, 1e-8), (np.nan, 1e-8), (1e-7, np.inf)):
+            with pytest.raises(ValueError, match="must be finite and > 0"):
+                RcChannelModel(tau_rc=tau_rc, n_taps=4, tap_spacing=tap_spacing)
 
 
 def exp_decay_cir(n_bins=256, decay_bins=10.0, tap_bin=0):
@@ -367,6 +370,15 @@ class TestApplyChannel:
         taps = FadingRealization(delays=np.array([1.5e-6]), gains=np.array([1.0 + 0j]))
         with pytest.raises(ValueError, match="tap 0"):
             apply_channel(capture, taps)
+
+    @pytest.mark.parametrize("delays, gains", [
+        ([0.0, np.nan], [1.0, 0.5]),
+        ([0.0, 1e-6], [1.0, np.inf]),
+    ])
+    def test_non_finite_taps_rejected(self, delays, gains):
+        # a NaN delay would pass apply_channel's whole-sample check
+        with pytest.raises(ValueError, match="must be finite"):
+            FadingRealization(delays=np.array(delays), gains=np.array(gains))
 
     def test_white_input_energy(self):
         rng = np.random.default_rng(4)
