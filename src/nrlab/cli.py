@@ -5,6 +5,10 @@ overridden by a JSON config file (--config), which is overridden by flags. Every
 report echoes the fully resolved configuration so a run can be replayed exactly.
 
 Exit codes: 0 success, 1 usage/input/format error, 2 clean run with no findings.
+
+The option tables and the parser need only the standard library: each command
+imports numpy and the layers it runs when it starts, so `nrlab --version`,
+`--help` and a usage error load neither.
 """
 from __future__ import annotations
 
@@ -12,45 +16,13 @@ import argparse
 import logging
 import sys
 from dataclasses import asdict, dataclass, replace
-from functools import partial
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
+from . import DEFAULT_PSS_THRESHOLD, __version__
 
-from . import __version__
-from .detector import DEFAULT_PSS_THRESHOLD, _check_sample_rate, enumerate_ssb_bursts
-from .exposure import measure_exposure
-from .io import (
-    read_capture,
-    read_detection_report,
-    read_geometry,
-    read_json_object,
-    read_sweep_csv,
-    write_aoa_csv,
-    write_capture,
-    write_detection_report,
-    write_pdp_csv,
-    write_report,
-)
-from .otasim import (
-    RcChannelModel,
-    awgn,
-    compute_calibration,
-    estimate_transfer_matrix,
-    isolation_db,
-    random_well_conditioned,
-    simulate_rc_channel,
-    sound_rsrp,
-)
-from .sounding import (
-    VirtualArrayScan,
-    aoa_delay_profile,
-    cir_to_pdp,
-    compensate_phase,
-    sweep_to_cir,
-)
-from .types import CellId, OfdmParams, SsbConfig
-from .waveform import ssb_waveform, synthesize_bursts
+if TYPE_CHECKING:
+    from .types import IqCapture, OfdmParams
 
 LOG = logging.getLogger("nrlab")
 
@@ -170,6 +142,8 @@ def resolve_config(options: tuple[Opt, ...], args: argparse.Namespace) -> dict:
     """Resolve defaults <- config file <- flags given on the command line (flags win)."""
     cfg = {opt.key: opt.default for opt in options}
     if args.config is not None:
+        from .io import read_json_object
+
         raw = read_json_object(args.config, "config file")
         by_key = {opt.key: opt for opt in options}
         unknown = sorted(set(raw) - set(by_key))
@@ -191,17 +165,26 @@ def _check_writable(path) -> None:
 
 
 def _ofdm_params(cfg: dict) -> OfdmParams:
+    from .types import OfdmParams
+
     return OfdmParams(mu=cfg["mu"], fft_size=cfg["fft_size"], cp_len=cfg["cp_len"])
 
 
-def _read_capture_at(path, params: OfdmParams):
+def _read_capture_at(path, params: OfdmParams) -> IqCapture:
     """Read a capture whose sidecar rate must match the numerology's rate."""
+    from .detector import _check_sample_rate
+    from .io import read_capture
+
     capture, _ = read_capture(path)
     _check_sample_rate(capture, params)
     return capture
 
 
 def cmd_generate(cfg: dict) -> int:
+    from .io import write_capture
+    from .types import CellId, SsbConfig
+    from .waveform import ssb_waveform, synthesize_bursts
+
     _check_writable(cfg["out"])
     if cfg["n1"] is not None or cfg["n2"] is not None:
         if cfg["n1"] is None or cfg["n2"] is None:
@@ -222,6 +205,10 @@ def cmd_generate(cfg: dict) -> int:
     )
     capture = synthesize_bursts(ssb_cfg, params, lead_in=cfg["lead_in"], tail=cfg["tail"])
     if cfg["snr_db"] is not None:
+        import numpy as np
+
+        from .otasim import awgn
+
         ssb_power = float(np.mean(np.abs(ssb_waveform(ssb_cfg, params)) ** 2))
         noise_power = ssb_power * 10.0 ** (-cfg["snr_db"] / 10.0)
         capture = awgn(capture, noise_power, rng=cfg["seed"])
@@ -238,6 +225,9 @@ def cmd_generate(cfg: dict) -> int:
 
 
 def cmd_detect(cfg: dict) -> int:
+    from .detector import enumerate_ssb_bursts
+    from .io import write_detection_report
+
     params = _ofdm_params(cfg)
     capture = _read_capture_at(cfg["input"], params)
     result = enumerate_ssb_bursts(capture, params, threshold=cfg["threshold"])
@@ -257,6 +247,11 @@ def cmd_detect(cfg: dict) -> int:
 
 
 def cmd_exposure(cfg: dict) -> int:
+    import numpy as np
+
+    from .exposure import measure_exposure
+    from .io import read_detection_report, write_report
+
     params = _ofdm_params(cfg)
     capture = _read_capture_at(cfg["capture"], params)
     detection = read_detection_report(cfg["detection"])
@@ -285,6 +280,17 @@ def cmd_exposure(cfg: dict) -> int:
 
 
 def cmd_sound(cfg: dict) -> int:
+    import numpy as np
+
+    from .io import read_geometry, read_sweep_csv, write_aoa_csv, write_pdp_csv
+    from .sounding import (
+        VirtualArrayScan,
+        aoa_delay_profile,
+        cir_to_pdp,
+        compensate_phase,
+        sweep_to_cir,
+    )
+
     sweeps = []
     for path in cfg["input"]:
         sweep = read_sweep_csv(path)
@@ -323,6 +329,21 @@ def cmd_sound(cfg: dict) -> int:
 
 
 def cmd_otasim(cfg: dict) -> int:
+    from functools import partial
+
+    import numpy as np
+
+    from .io import write_report
+    from .otasim import (
+        RcChannelModel,
+        compute_calibration,
+        estimate_transfer_matrix,
+        isolation_db,
+        random_well_conditioned,
+        simulate_rc_channel,
+        sound_rsrp,
+    )
+
     _check_writable(cfg["out"])
     if cfg["mode"] == "wireless-cable":
         rng = np.random.default_rng(cfg["seed"])

@@ -29,16 +29,19 @@ from functools import lru_cache
 
 import numpy as np
 
-from .sequences import gen_pbch_dmrs, gen_pss, gen_sss
-from .types import N_SSB_SUBCARRIERS, N_SSB_SYMBOLS, SYNC_BAND, CellId, IqCapture, OfdmParams
+from . import DEFAULT_PSS_THRESHOLD
+from .sequences import _sss, gen_pbch_dmrs, gen_pss
+from .types import (
+    N_SSB_SUBCARRIERS,
+    N_SSB_SYMBOLS,
+    SYNC_BAND,
+    CellId,
+    IqCapture,
+    OfdmParams,
+    _median,
+)
 from .waveform import _demodulate_symbols, _subcarrier_bins, ofdm_modulate, ssb_layout
 
-# Detection threshold. Under complex white Gaussian noise one test (one lag,
-# one hypothesis) reaches eta with probability (1 - eta^2)^(N-1), N = symbol_len
-# = 274 (Scharf and Friedlander, "Matched subspace detectors", IEEE Trans. SP,
-# 1994): 3.2e-16 at 0.35, about 5e-10 false candidates per 1e5 samples over 15
-# hypotheses per lag. A matched burst at -6 dB SNR still scores ~0.45.
-DEFAULT_PSS_THRESHOLD = 0.35
 MAX_CFO_BINS = 2  # the PSS scan's CFO hypotheses: integer bins -2..2
 
 # Overlap-save blocks per PSS scan group. At the default numerology the scan
@@ -129,12 +132,13 @@ def _pss_sequence(n2: int) -> np.ndarray:
 
 @lru_cache(maxsize=3)
 def _sss_bank(n2: int) -> np.ndarray:
-    """All 336 SSS hypotheses for one sector index, shape (336, 127).
+    """All 336 SSS hypotheses for one sector index, shape (336, 127), row n1
+    equal to gen_sss(n1, n2), built in one pass with n1 as a column.
 
     Held as complex128, so that the product with an equalized symbol is one
     BLAS call; its values equal those of the real-valued bank's mixed product.
     """
-    bank = np.stack([gen_sss(n1, n2) for n1 in range(336)]).astype(np.complex128)
+    bank = _sss(np.arange(336)[:, None], n2).astype(np.complex128)
     bank.setflags(write=False)
     return bank
 
@@ -300,6 +304,13 @@ def _bin_maxima(
         np.maximum(peak, mag, out=peak)
 
 
+def _zero_padded(buf: np.ndarray, tail: np.ndarray) -> np.ndarray:
+    """`buf` (1-D) holding `tail`, cast to its dtype, then zeros."""
+    buf[:tail.size] = tail
+    buf[tail.size:] = 0.0
+    return buf
+
+
 def _pss_scan(
     x: np.ndarray, params: OfdmParams, threshold: float
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -346,17 +357,21 @@ def _pss_scan(
     metric_buf, energy_buf = np.empty((2, group * step))
     csum_buf = np.empty(group * step + length)
 
+    inside = (np.lib.stride_tricks.sliding_window_view(x, block)[::step] if x.size >= block
+              else np.empty((0, block), dtype=x.dtype))
+
     kept: list[list[tuple[np.ndarray, ...]]] = [[], [], []]
     carry = 0.0  # sum of |x|^2 before the group's first lag
     for b0 in range(0, n_blocks, group):
         n_b = min(group, n_blocks - b0)
         lo = b0 * step
         n = min(n_b * step, n_lags - lo)  # the group's lags are lo..lo+n-1
-        width = (n_b - 1) * step + block
-        span = x[lo:lo + width]
-        if span.size < width:
-            span = np.concatenate((span, np.zeros(width - span.size)))
-        blocks = np.lib.stride_tricks.sliding_window_view(span, block)[::step]
+        # The group's blocks that lie inside the capture. A last block that
+        # reaches past its end is written, zero-padded, into each buffer
+        # that takes it, and never copied whole.
+        blocks = inside[b0:b0 + n_b]
+        full = blocks.shape[0]
+        tail = x[lo + full * step:] if full < n_b else None
 
         # Running sum seeded with the carry: the same sequential additions,
         # so the same values, as one cumsum over the whole capture.
@@ -375,7 +390,11 @@ def _pss_scan(
         x32 = spec32[:n_b]
         with np.errstate(over="ignore", invalid="ignore"):
             delta = _screen_bounds(blocks, params)
-            np.copyto(x32, blocks)
+            np.copyto(x32[:full], blocks)
+            if tail is not None:  # `rolled` is free until the kernel runs
+                padded = _zero_padded(rolled, tail)
+                delta = np.concatenate((delta, _screen_bounds(padded[None], params)), axis=1)
+                x32[full] = padded
             np.fft.fft(x32, axis=1, norm="forward", out=x32)
             for n2, spectrum in enumerate(_screen_spectra(params)[0]):
                 _bin_maxima(x32, spectrum, bin_shift, rolled32, prod32[:n_b],
@@ -397,7 +416,10 @@ def _pss_scan(
         if not exact:
             continue
 
-        x_spec = np.fft.fft(blocks, axis=1, out=spec[:n_b])
+        x_spec = spec[:n_b]
+        np.fft.fft(blocks, axis=1, out=x_spec[:full])
+        if tail is not None:
+            np.fft.fft(_zero_padded(x_spec[full], tail), out=x_spec[full])
         metric = metric_buf[:n]
         for n2 in exact:
             _bin_maxima(x_spec, _pss_replica_spectra(params)[n2], bin_shift, rolled,
@@ -615,6 +637,6 @@ def enumerate_ssb_bursts(
     return DetectionResult(
         cell_id=cell_id,
         bursts=bursts,
-        cfo=float(np.median([c.cfo for c, _, _ in staged])),
+        cfo=_median([c.cfo for c, _, _ in staged]),
         cell_id_conflict=len(votes) > 1,
     )

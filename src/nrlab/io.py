@@ -12,12 +12,15 @@ import json
 import math
 from dataclasses import asdict
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .detector import DetectionResult, SsbBurst
-from .sounding import AntennaPattern, AoaDelayProfile, FrequencySweep, Pdp
 from .types import CellId, IqCapture
+
+if TYPE_CHECKING:
+    from .detector import DetectionResult
+    from .sounding import AntennaPattern, AoaDelayProfile, FrequencySweep, Pdp
 
 SIDECAR_SUFFIX = ".json"
 _SIDECAR_NUMBERS = ("sample_rate_hz", "center_freq_hz", "scale")
@@ -129,6 +132,8 @@ def write_sweep_csv(path, sweep: FrequencySweep) -> None:
 
 def read_sweep_csv(path) -> FrequencySweep:
     """Parse a sweep CSV; pilot and timestamp columns are optional."""
+    from .sounding import FrequencySweep
+
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -199,6 +204,8 @@ def read_geometry(path) -> tuple[np.ndarray, AntennaPattern | None]:
     The file is a JSON object with "elements" ([x, y, z] triples in meters)
     and optionally "pattern" (rows of [angle_deg, gain_db, phase_deg]).
     """
+    from .sounding import AntennaPattern
+
     raw = read_json_object(path, "geometry file")
     if "elements" not in raw:
         raise ValueError(f"geometry file {path} must hold an object with 'elements'")
@@ -282,6 +289,8 @@ def write_detection_report(path, result: DetectionResult, config: dict) -> None:
 
 def read_detection_report(path) -> DetectionResult:
     """Parse a report written by `write_detection_report`."""
+    from .detector import DetectionResult, SsbBurst
+
     payload = read_json_object(path, "report")
     try:
         cell = payload["cell_id"]

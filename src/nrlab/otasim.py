@@ -7,13 +7,14 @@ response, and tapped-delay-line channel application to captures.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
 from .sounding import Cir
-from .types import IqCapture
+from .types import IqCapture, _median
 
 ALLOWED_PORT_COUNTS = (2, 4, 8)
 CONDITION_CAP = 1e6
@@ -66,6 +67,13 @@ class RcChannelModel:
             raise ValueError(f"n_taps must be >= 1, got {self.n_taps}")
         if not 0 < self.tap_spacing < np.inf:
             raise ValueError(f"tap_spacing must be finite and > 0, got {self.tap_spacing}")
+        # (n_taps - 1) * tap_spacing overflows; an int compared with a float
+        # raises nothing, however large n_taps is
+        if self.n_taps - 1 > sys.float_info.max / self.tap_spacing:
+            raise ValueError(
+                f"the last tap's delay (n_taps - 1) * tap_spacing must be finite, got "
+                f"{self.n_taps - 1} * {self.tap_spacing}"
+            )
 
 
 @dataclass
@@ -232,7 +240,8 @@ def simulate_rc_channel(model: RcChannelModel) -> FadingRealization:
     """
     rng = np.random.default_rng(model.seed)
     k = np.arange(model.n_taps)
-    mean_power = np.exp(-k * model.tap_spacing / model.tau_rc)
+    with np.errstate(over="ignore"):  # a decay ratio past float range has power 0
+        mean_power = np.exp(-k * model.tap_spacing / model.tau_rc)
     mean_power /= mean_power.sum()
 
     def circular(n: int) -> np.ndarray:
@@ -272,7 +281,7 @@ def cancel_rc_decay(measured: Cir, reference: Cir, epsilon: float) -> Cir:
     if peak > 0:
         with np.errstate(divide="ignore"):
             rel_db = 20.0 * np.log10(mag / peak)
-        if np.median(rel_db[mag.size // 2:]) > NOISE_AMPLIFICATION_FLOOR_DB:
+        if _median(rel_db[mag.size // 2:]) > NOISE_AMPLIFICATION_FLOOR_DB:
             flags = ("noise-amplified",)
     return Cir(
         taps=corrected,

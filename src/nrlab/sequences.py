@@ -58,6 +58,12 @@ def gen_sss(n1: int, n2: int) -> np.ndarray:
         raise ValueError(f"n1 must be in 0..335, got {n1}")
     if n2 not in (0, 1, 2):
         raise ValueError(f"n2 must be in 0..2, got {n2}")
+    return _sss(n1, n2)
+
+
+def _sss(n1, n2: int) -> np.ndarray:
+    """gen_sss without the range checks; an integer array n1 of shape (k, 1)
+    gives the k sequences as rows, shape (k, 127)."""
     x0 = _m_sequence((1, 0, 0, 0, 0, 0, 0), tap=4)
     x1 = _m_sequence((1, 0, 0, 0, 0, 0, 0), tap=1)
     m0 = 15 * (n1 // 112) + 5 * n2

@@ -21,6 +21,8 @@ from typing import Callable
 
 import numpy as np
 
+from .types import _median
+
 SPEED_OF_LIGHT = 299792458.0
 PATTERN_MASK_DB = -30.0  # below this gain an angle is flagged invalid, not divided
 AOA_ANGLE_BLOCK = 16  # angles in flight at once, shared among the worker threads
@@ -254,7 +256,7 @@ def cir_to_pdp(cir: Cir) -> Pdp:
         raise ValueError("all-zero impulse response")
     with np.errstate(divide="ignore"):
         power_db = 20.0 * np.log10(mag / peak)
-    median_db = float(np.median(power_db[mag.size // 2:]))
+    median_db = _median(power_db[mag.size // 2:])
     noise_floor = median_db - 10.0 * np.log10(np.log(2.0))
     return Pdp(delays=cir.delays, power_db=power_db, noise_floor_db=noise_floor)
 

@@ -457,32 +457,103 @@ class TestUsage:
         assert not (tmp_path / "cell3.iq.detection.json").exists()
 
 
+def run_probe(code, *argv):
+    """Stdout of `code` run in a fresh interpreter that imports this nrlab."""
+    env = dict(os.environ, PYTHONPATH=str(Path(nrlab.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", code, *map(str, argv)], env=env, capture_output=True,
+        text=True, check=True, timeout=120,
+    )
+    return out.stdout
+
+
+# Runs the CLI, then prints its exit code, whether numpy was loaded and the
+# nrlab modules that were.
+CLI_PROBE = (
+    "import sys; from nrlab.cli import main; code = main(sys.argv[1:]); "
+    "print(code, 'numpy' in sys.modules, *sorted(m for m in sys.modules if m.startswith('nrlab.')))"
+)
+# Every layer: `import *` loads each module named in nrlab.__all__.
+IMPORT_ALL = "import sys, threading, nrlab.cli, nrlab.io; from nrlab import *; "
+
+
+@pytest.fixture(scope="module")
+def cli_argv(tmp_path_factory):
+    """A successful call of each command, on inputs written here."""
+    d = tmp_path_factory.mktemp("cli")
+    capture, detection = d / "c.iq", d / "c.det.json"
+    assert run("generate", "--out", capture, "--bursts", 2) == EXIT_OK
+    assert run("detect", "--in", capture, "--out", detection) == EXIT_OK
+    sweeps, geometry = TestSound().make_broadside_scan(d)
+    return {
+        "generate": ("generate", "--out", d / "g.iq", "--bursts", 2),
+        "detect": ("detect", "--in", capture, "--out", d / "d.json"),
+        "exposure": ("exposure", "--capture", capture, "--detection", detection,
+                     "--out", d / "e.json"),
+        "sound": ("sound", "--in", *sweeps, "--aoa", "--geometry", geometry,
+                  "--out", d / "pdp.csv", "--aoa-out", d / "aoa.csv"),
+        "otasim": ("otasim", "wireless-cable", "--out", d / "wc.json"),
+    }
+
+
 class TestImports:
     def test_import_loads_no_scipy(self):
-        # scipy is a test-only dependency; importing the package and its CLI
-        # in a fresh interpreter must not pull in any of it.
-        env = dict(os.environ, PYTHONPATH=str(Path(nrlab.__file__).parents[1]))
-        probe = (
-            "import sys, nrlab, nrlab.cli; "
-            "print(sorted(m for m in sys.modules "
-            "if m == 'scipy' or m.startswith('scipy.')))"
+        # scipy is a test-only dependency; importing the package, its CLI
+        # and every layer in a fresh interpreter must not pull in any of it.
+        probe = IMPORT_ALL + (
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
         )
-        out = subprocess.run(
-            [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
-            check=True, timeout=120,
-        )
-        assert out.stdout.strip() == "[]"
+        assert run_probe(probe).strip() == "[]"
 
     def test_import_starts_no_thread(self):
         # the AoA map's worker pool is made inside the call; importing the
-        # CLI starts no thread and loads no concurrent.futures
-        env = dict(os.environ, PYTHONPATH=str(Path(nrlab.__file__).parents[1]))
-        probe = (
-            "import sys, threading, nrlab.cli; "
+        # CLI and every layer starts no thread and loads no concurrent.futures
+        probe = IMPORT_ALL + (
             "print(threading.active_count(), 'concurrent.futures' in sys.modules)"
         )
-        out = subprocess.run(
-            [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
-            check=True, timeout=120,
+        assert run_probe(probe).split() == ["1", "False"]
+
+    @pytest.mark.parametrize("command, layers", [
+        ("generate", "io sequences types waveform"),
+        ("detect", "detector io sequences types waveform"),
+        ("exposure", "detector exposure io sequences types waveform"),
+        ("sound", "io sounding types"),
+        ("otasim", "io otasim sounding types"),
+    ])
+    def test_command_loads_only_its_layers(self, cli_argv, command, layers):
+        code, _, *loaded = run_probe(CLI_PROBE, *cli_argv[command]).split()
+        assert code == str(EXIT_OK)
+        assert sorted(loaded) == sorted(["nrlab.cli", *(f"nrlab.{m}" for m in layers.split())])
+
+    @pytest.mark.parametrize("argv, code", [
+        (("--version",), EXIT_OK),
+        (("--help",), EXIT_OK),
+        (("detect", "--no-such-flag"), EXIT_ERROR),
+    ])
+    def test_no_numpy_before_a_command_runs(self, argv, code):
+        last = run_probe(CLI_PROBE, *argv).splitlines()[-1]
+        assert last.split() == [str(code), "False", "nrlab.cli"]
+
+    def test_every_public_name_resolves(self):
+        assert set(nrlab.__all__) <= set(dir(nrlab))
+        for name in nrlab.__all__:
+            assert getattr(nrlab, name) is not None
+        assert nrlab.detect_pss is nrlab.detector.detect_pss
+        namespace = {}
+        exec("from nrlab import *", namespace)
+        assert set(nrlab.__all__) <= set(namespace)
+        with pytest.raises(AttributeError):
+            nrlab.no_such_name
+
+    def test_detection_and_pdp_load_no_numpy_ma(self):
+        # np.median's NaN check imports numpy.ma, 8-10 ms of a fresh process
+        # on a 2-core x86 host
+        probe = (
+            "import sys, numpy as np, nrlab; params = nrlab.OfdmParams(); "
+            "cfg = nrlab.SsbConfig(nrlab.CellId.from_cell(3), burst_count=2, burst_period=2200); "
+            "assert nrlab.enumerate_ssb_bursts(nrlab.synthesize_bursts(cfg, params), params).bursts; "
+            "sweep = nrlab.FrequencySweep(freqs=1e9 + 1e6 * np.arange(64), h=np.ones(64)); "
+            "cir = nrlab.sweep_to_cir(sweep); nrlab.cir_to_pdp(cir); "
+            "nrlab.cancel_rc_decay(cir, cir, 1e-3); print('numpy.ma' in sys.modules)"
         )
-        assert out.stdout.split() == ["1", "False"]
+        assert run_probe(probe).strip() == "False"

@@ -16,6 +16,7 @@ from nrlab import (
     demodulate_burst,
     detect_pss,
     enumerate_ssb_bursts,
+    gen_sss,
     identify_ssb_index,
     map_ssb,
     ssb_waveform,
@@ -35,6 +36,7 @@ from nrlab.detector import (
     _scan_block_len,
     _screen_bounds,
     _screen_spectra,
+    _sss_bank,
     _sss_from_grid,
 )
 from nrlab.otasim import awgn
@@ -95,8 +97,7 @@ class TestDetectPss:
 
     def test_memory_bounded_by_scan_group(self, params):
         # A whole-capture scan holds ~140 bytes per sample (~60 MB more at
-        # 8x). The grouped scan's peak may differ by its last group's
-        # zero-padded copy (~0.5 MB) and the kept lags.
+        # 8x). The grouped scan's peak may differ by the kept lags.
         peaks = []
         for n in (60_000, 480_000):
             capture = noise_capture(n, 5, params.sample_rate)
@@ -108,6 +109,28 @@ class TestDetectPss:
             finally:
                 tracemalloc.stop()
         assert peaks[1] < peaks[0] + 1_000_000, peaks
+
+    def test_short_last_group_copies_nothing(self, params):
+        # The 170 673-sample capture fills 6 groups of 16 blocks exactly; the
+        # last block of the 157 000-sample one reaches past the capture, and
+        # is zero-padded inside the scan's buffers instead of in a copy of
+        # its group's span.
+        block = _scan_block_len(params)
+        step = block - params.symbol_len + 1
+        peaks = []
+        for n, whole_groups in ((170_673, True), (157_000, False)):
+            n_blocks = -(-(n - params.symbol_len + 1) // step)
+            assert (n_blocks % _SCAN_GROUP == 0) == whole_groups
+            assert ((n_blocks - 1) * step + block > n) == (not whole_groups)
+            x = noise_capture(n, 5, params.sample_rate).samples
+            detector._pss_scan(x, params, DEFAULT_PSS_THRESHOLD)  # fill the caches untraced
+            tracemalloc.start()
+            try:
+                detector._pss_scan(x, params, DEFAULT_PSS_THRESHOLD)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0], peaks
 
     def test_empty_capture_rejected(self, params):
         with pytest.raises(ValueError):
@@ -677,6 +700,11 @@ class TestSampleRate:
 
 class TestBanks:
     """The cached SSS and DM-RS banks decide exactly as the direct products."""
+
+    @pytest.mark.parametrize("n2", [0, 1, 2])
+    def test_sss_bank_equals_gen_sss_rows(self, n2):
+        rows = np.stack([gen_sss(n1, n2) for n1 in range(336)]).astype(np.complex128)
+        assert _sss_bank(n2).tobytes() == rows.tobytes()
 
     @pytest.mark.parametrize("n2", [0, 1, 2])
     def test_sss_equals_real_bank_product(self, n2, params, burst_capture):

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -228,6 +229,18 @@ class TestRcChannel:
         for tau_rc, tap_spacing in ((np.inf, 1e-8), (np.nan, 1e-8), (1e-7, np.inf)):
             with pytest.raises(ValueError, match="must be finite and > 0"):
                 RcChannelModel(tau_rc=tau_rc, n_taps=4, tap_spacing=tap_spacing)
+
+    def test_overflowing_last_delay_rejected(self):
+        # 31 * 1e307 is not a float: one error, before any arithmetic overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"\(n_taps - 1\) \* tap_spacing must be finite"):
+                RcChannelModel(tau_rc=2e-7, n_taps=32, tap_spacing=1e307)
+            # the last delay is finite; the decay past it underflows to zero power
+            realization = simulate_rc_channel(
+                RcChannelModel(tau_rc=2e-7, n_taps=2, tap_spacing=1e307))
+        assert_array_equal(realization.delays, [0.0, 1e307])
+        assert realization.gains[1] == 0
 
 
 def exp_decay_cir(n_bins=256, decay_bins=10.0, tap_bin=0):

@@ -1,7 +1,25 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nrlab import IqCapture
+from nrlab.types import _median
+
+
+class TestMedian:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=24))
+    @example([np.inf, -np.inf])
+    @example([1e308, 1e308, -np.inf, 5.0])
+    @example([3.0, np.nan, -1.0])
+    @example([np.nan, 2.0])
+    @example([-0.0, -0.0])
+    def test_bytes_equal_np_median(self, values):
+        with np.errstate(all="ignore"):  # inf - inf and overflow in np.median's mean
+            expected = np.median(values)
+        assert np.float64(_median(values)).tobytes() == expected.tobytes()
+        assert np.float64(_median(np.array(values))).tobytes() == expected.tobytes()
 
 
 class TestIqCaptureFiniteness:
