@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 from dataclasses import asdict
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -219,7 +220,8 @@ def read_geometry(path) -> tuple[np.ndarray, AntennaPattern | None]:
             raise ValueError(
                 "geometry 'pattern' rows must be [angle_deg, gain_db, phase_deg]"
             )
-        gain = 10.0 ** (table[:, 1] / 20.0) * np.exp(1j * np.deg2rad(table[:, 2]))
+        with np.errstate(over="ignore", invalid="ignore"):  # rejected below if not finite
+            gain = 10.0 ** (table[:, 1] / 20.0) * np.exp(1j * np.deg2rad(table[:, 2]))
         pattern = AntennaPattern(angles_deg=table[:, 0], gain=gain)
     return elements, pattern
 
@@ -248,12 +250,29 @@ def _reject_constant(constant: str):
     raise ValueError(f"{constant} is not a JSON number")
 
 
+def _finite_float(literal: str) -> float:
+    value = float(literal)
+    if not math.isfinite(value):
+        raise ValueError(f"{literal} overflows a float")
+    return value
+
+
+def _float_range_int(literal: str) -> int:
+    value = int(literal)
+    if abs(value) > sys.float_info.max:
+        raise ValueError(f"{literal[:20]}... ({len(literal)} digits) overflows a float")
+    return value
+
+
 def read_json_object(path, what: str) -> dict:
     """Load a JSON file that must hold an object; `what` names the file in
-    errors. NaN, Infinity and -Infinity, which are not JSON, are rejected."""
+    errors. NaN, Infinity and -Infinity, which are not JSON, are rejected,
+    and so is a number such as 1e400, or an integer of 310 digits, that
+    overflows a float."""
     text = Path(path).read_text(encoding="utf-8")
     try:
-        raw = json.loads(text, parse_constant=_reject_constant)
+        raw = json.loads(text, parse_constant=_reject_constant, parse_float=_finite_float,
+                         parse_int=_float_range_int)
     except ValueError as exc:
         raise ValueError(f"{what} {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
@@ -287,32 +306,75 @@ def write_detection_report(path, result: DetectionResult, config: dict) -> None:
     write_report(path, payload)
 
 
+def _whole_number(value, name: str, top: int | None = None) -> int:
+    """A report's whole number >= 0, and <= top if given; a float such as
+    3.0 is accepted, a bool is not."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if (isinstance(value, bool) or not isinstance(value, int) or value < 0
+            or top is not None and value > top):
+        span = ">= 0" if top is None else f"in 0..{top}"
+        raise ValueError(f"{name} must be a whole number {span}, got {value!r}")
+    return value
+
+
+def _finite_number(value, name: str) -> float:
+    """A report's finite number; read_json_object admits no int past float range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _field(obj, key: str, name: str):
+    """obj[key], where obj is the report object called name ("" for the top)."""
+    path = f"{name}.{key}" if name else key
+    if not isinstance(obj, dict):
+        raise ValueError(f"{name} must be an object, got {obj!r}")
+    if key not in obj:
+        raise ValueError(f"missing field {path}")
+    return obj[key]
+
+
 def read_detection_report(path) -> DetectionResult:
-    """Parse a report written by `write_detection_report`."""
+    """Parse a report written by `write_detection_report`.
+
+    Timings must be whole numbers >= 0, SSB indices whole numbers in 0..7,
+    the CFO and the metrics finite numbers, the conflict flag a bool, and the
+    cell 3*n1 + n2. The error names the field that is missing or wrong.
+    """
     from .detector import DetectionResult, SsbBurst
 
     payload = read_json_object(path, "report")
     try:
-        cell = payload["cell_id"]
-        cell_id = None if cell is None else CellId(n1=cell["n1"], n2=cell["n2"])
-        bursts = [
-            SsbBurst(
-                timing=int(b["timing_sample"]),
-                i_ssb_bar=int(b["i_ssb_bar"]),
-                pss_metric=float(b["metrics"]["pss"]),
-                sss_metric=float(b["metrics"]["sss"]),
-                dmrs_metric=float(b["metrics"]["dmrs"]),
-            )
-            for b in payload["bursts"]
-        ]
-        return DetectionResult(
-            cell_id=cell_id,
-            bursts=bursts,
-            cfo=float(payload["cfo_hz"]),
-            cell_id_conflict=bool(payload.get("cell_id_conflict", False)),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"detection report {path} is missing field: {exc}") from exc
+        cell = _field(payload, "cell_id", "")
+        cell_id = None
+        if cell is not None:
+            cell_id = CellId(n1=_whole_number(_field(cell, "n1", "cell_id"), "cell_id.n1", 335),
+                             n2=_whole_number(_field(cell, "n2", "cell_id"), "cell_id.n2", 2))
+            if _field(cell, "cell", "cell_id") != cell_id.cell:
+                raise ValueError(f"cell_id.cell must be 3*n1 + n2 = {cell_id.cell}, "
+                                 f"got {cell['cell']!r}")
+        bursts = _field(payload, "bursts", "")
+        if not isinstance(bursts, list):
+            raise ValueError(f"bursts must be a list, got {bursts!r}")
+        read = []
+        for i, b in enumerate(bursts):
+            name = f"bursts[{i}]"
+            metrics = _field(b, "metrics", name)
+            read.append(SsbBurst(
+                timing=_whole_number(_field(b, "timing_sample", name), f"{name}.timing_sample"),
+                i_ssb_bar=_whole_number(_field(b, "i_ssb_bar", name), f"{name}.i_ssb_bar", 7),
+                **{f"{key}_metric": _finite_number(_field(metrics, key, f"{name}.metrics"),
+                                                   f"{name}.metrics.{key}")
+                   for key in ("pss", "sss", "dmrs")},
+            ))
+        conflict = payload.get("cell_id_conflict", False)
+        if not isinstance(conflict, bool):
+            raise ValueError(f"cell_id_conflict must be true or false, got {conflict!r}")
+        cfo = _finite_number(_field(payload, "cfo_hz", ""), "cfo_hz")
+    except ValueError as exc:
+        raise ValueError(f"detection report {path}: {exc}") from None
+    return DetectionResult(cell_id=cell_id, bursts=read, cfo=cfo, cell_id_conflict=conflict)
 
 
 def _report_value(value, is_db: bool = False):

@@ -4,17 +4,23 @@ Wireless-cable calibration (transfer-matrix estimation from magnitude-only
 RSRP soundings and its inversion), reverberation-chamber exponential-decay /
 keyhole fading with seeded draws, regularized deconvolution of the chamber
 response, and tapped-delay-line channel application to captures.
+
+apply_channel convolves a capture in chunks of CHANNEL_CHUNK output samples
+on worker threads, one per usable CPU (at most types.MAX_WORKERS); np.convolve
+releases the GIL. Each call starts its threads and joins them before it
+returns, and the output does not depend on how many ran.
 """
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from .sounding import Cir
-from .types import IqCapture, _median
+from .types import IqCapture, _median, _run_slices, _worker_count
 
 ALLOWED_PORT_COUNTS = (2, 4, 8)
 CONDITION_CAP = 1e6
@@ -24,6 +30,9 @@ ISOLATION_CAP_DB = 100.0
 # the upper-half delay bins) relative to the peak exceeds this bound.
 NOISE_AMPLIFICATION_FLOOR_DB = -20.0
 _SOUNDING_PHASES = (0.0, 2.0 * np.pi / 3.0, 4.0 * np.pi / 3.0)
+# Output samples per chunk of apply_channel's convolution (128 KiB): small, so
+# that the workers' chunk buffers add no peak memory to a long capture.
+CHANNEL_CHUNK = 1 << 13
 
 
 @dataclass
@@ -291,12 +300,28 @@ def cancel_rc_decay(measured: Cir, reference: Cir, epsilon: float) -> Cir:
     )
 
 
+def _convolve_chunk(rows: slice, worker: int, x: np.ndarray, response: np.ndarray,
+                    out: np.ndarray) -> None:
+    """Write rows lo:hi of the full convolution of x with response into
+    out[lo:hi], from the convolution of the inputs x[lo - m + 1:hi] that
+    those rows reach (m = response.size). Its partial sums at either end are
+    dropped, except at the ends of the whole, so each row is the sum that
+    np.convolve(x, response) forms, in the same order, as long as each chunk
+    spans at least m rows and every chunk but the last ends before x does."""
+    first = max(rows.start - response.size + 1, 0)
+    part = np.convolve(x[first:rows.stop], response)
+    out[rows] = part[rows.start - first:rows.stop - first]
+
+
 def apply_channel(capture: IqCapture, taps: FadingRealization) -> IqCapture:
     """Tapped-delay-line convolution of a capture with a fading realization.
 
     Tap delays must land on whole samples at the capture rate; the output is
     extended by the largest delay. The taps become one dense impulse
-    response, where taps on the same sample add, and one convolution.
+    response, where taps on the same sample add, and one convolution. That
+    convolution is cut into chunks of CHANNEL_CHUNK output samples (or of
+    one sample per tap, if there are more taps), which the worker threads
+    write into one output array; its bytes equal np.convolve's.
     """
     delays = taps.delays * capture.sample_rate
     rounded = np.round(delays)
@@ -310,10 +335,15 @@ def apply_channel(capture: IqCapture, taps: FadingRealization) -> IqCapture:
     n_taps = int(shifts.max(initial=0)) + 1
     response = (np.bincount(shifts, weights=taps.gains.real, minlength=n_taps)
                 + 1j * np.bincount(shifts, weights=taps.gains.imag, minlength=n_taps))
-    if capture.samples.size:
-        out = np.convolve(capture.samples, response)
-    else:
-        out = np.zeros(n_taps - 1, dtype=np.complex128)
+    x = capture.samples
+    if not x.size:
+        return replace(capture, samples=np.zeros(n_taps - 1, dtype=np.complex128))
+    out = np.empty(x.size + n_taps - 1, dtype=np.complex128)  # the chunks cover it
+    # every chunk but the last starts and ends before x does
+    bounds = [*range(0, x.size, max(CHANNEL_CHUNK, n_taps)), out.size]
+    chunks = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    _run_slices(partial(_convolve_chunk, x=x, response=response, out=out),
+                chunks, _worker_count(len(chunks)))
     return replace(capture, samples=out)
 
 

@@ -4,31 +4,27 @@ Covers the sweep-to-delay-domain transform with windowing, PDP extraction,
 pilot-based phase-drift compensation, virtual-array delay-and-sum angle of
 arrival mapping with optional antenna-pattern de-embedding.
 
-The AoA map runs its blocks of angles on worker threads, one per usable CPU
-(at most AOA_MAX_WORKERS), sharing AOA_ANGLE_BLOCK angles in flight; numpy's
-FFT and ufunc loops release the GIL. Each call starts its threads and joins
-them before it returns, and the map does not depend on how many ran.
+The AoA map runs its blocks of angles, and then its conversion to dB, on
+worker threads, one per usable CPU (at most types.MAX_WORKERS), sharing
+AOA_ANGLE_BLOCK angles in flight; numpy's FFT and ufunc loops release the
+GIL. Each call starts its threads and joins them before it returns, and the
+map does not depend on how many ran.
 """
 from __future__ import annotations
 
 import dataclasses
 import math
-import os
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
 
-from .types import _median
+from .types import _median, _run_slices, _worker_count
 
 SPEED_OF_LIGHT = 299792458.0
 PATTERN_MASK_DB = -30.0  # below this gain an angle is flagged invalid, not divided
 AOA_ANGLE_BLOCK = 16  # angles in flight at once, shared among the worker threads
-# At most 4 workers, so each takes blocks of 4 angles or more: each block also
-# costs about 0.3 ms of Python under the GIL, which more workers cannot share.
-AOA_MAX_WORKERS = 4
 
 _WINDOWS: dict[str, Callable[[int], np.ndarray]] = {
     "rectangular": np.ones,
@@ -112,6 +108,8 @@ class AntennaPattern:
         self.gain = np.asarray(self.gain, dtype=np.complex128)
         if self.angles_deg.ndim != 1 or self.angles_deg.size < 2:
             raise ValueError("pattern needs at least 2 angle points")
+        if not (np.isfinite(self.angles_deg).all() and np.isfinite(self.gain).all()):
+            raise ValueError("pattern angles and gains must be finite")
         if np.any(np.diff(self.angles_deg) <= 0):
             raise ValueError("pattern angles must be strictly increasing")
         if self.gain.shape != self.angles_deg.shape:
@@ -139,6 +137,8 @@ class VirtualArrayScan:
         self.element_positions = np.asarray(self.element_positions, dtype=np.float64)
         if self.element_positions.ndim != 2 or self.element_positions.shape[1] != 3:
             raise ValueError("element_positions must have shape (n_elements, 3)")
+        if not np.isfinite(self.element_positions).all():
+            raise ValueError("element_positions must be finite")
         if len(self.sweeps) != self.element_positions.shape[0]:
             raise ValueError(
                 f"one sweep per element position required: got {len(self.sweeps)} sweeps "
@@ -191,10 +191,13 @@ def _chirp_kernel(n: int, n_fft: int) -> tuple[np.ndarray, np.ndarray]:
     return chirp, spectrum
 
 
+@lru_cache(maxsize=8)
 def _window_weights(window: str, pad_factor: int, n: int) -> np.ndarray:
     """Weights chirp[:n] * w / (mean(w) * n) of the delay transform over n
-    points. Rejects an unknown window, a pad factor below 1, and a window
-    whose coherent gain over n points is zero (Hann over 2 points is [0, 0])."""
+    points, read-only and kept for the next call with the same arguments.
+    Rejects an unknown window, a pad factor below 1, and a window whose
+    coherent gain over n points is zero (Hann over 2 points is [0, 0]); a
+    rejection is not kept, so it raises again on every call."""
     if window not in _WINDOWS:
         raise ValueError(f"window must be one of {sorted(_WINDOWS)}, got {window!r}")
     if pad_factor < 1:
@@ -206,7 +209,9 @@ def _window_weights(window: str, pad_factor: int, n: int) -> np.ndarray:
             "the sweep needs more points or another window"
         )
     chirp, _ = _chirp_kernel(n, pad_factor * n)
-    return chirp[:n] * (w / (w.mean() * n))
+    weights = chirp[:n] * (w / (w.mean() * n))
+    weights.setflags(write=False)
+    return weights
 
 
 def _delay_taps(h: np.ndarray, window: str, pad_factor: int) -> np.ndarray:
@@ -222,7 +227,8 @@ def _delay_taps(h: np.ndarray, window: str, pad_factor: int) -> np.ndarray:
     chirp, spectrum = _chirp_kernel(n, n_fft)
     conv = np.fft.fft(h * weights, spectrum.size)
     conv *= spectrum
-    return np.fft.ifft(conv)[..., :n_fft] * chirp
+    np.fft.ifft(conv, out=conv)
+    return conv[..., :n_fft] * chirp
 
 
 def sweep_to_cir(
@@ -301,13 +307,6 @@ def _unit_vectors(angles_deg: np.ndarray) -> np.ndarray:
     return np.stack([np.sin(rad), np.cos(rad), np.zeros_like(rad)], axis=1)
 
 
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _beamform(padded: np.ndarray, steps: tuple, tau: np.ndarray, work: tuple) -> np.ndarray:
     """sum_m h[m, i] * exp(+j*2*pi*f_i*tau[m, a]) for a block of angles,
     (n_angle, n_coarse*B); the columns from n on are zero.
@@ -336,30 +335,35 @@ def _beamform(padded: np.ndarray, steps: tuple, tau: np.ndarray, work: tuple) ->
     return combined.reshape(n_angle, -1)
 
 
-def _aoa_rows(todo, work, padded, steps, n, delays_m, gains, spectrum, power) -> None:
-    """Take blocks of valid angles (slices of contiguous rows of power) from
-    the deque todo until it is empty; beamform and delay-transform each over
-    the n sweep points, and write the tap magnitudes into those rows of power.
+def _aoa_block(rows: slice, worker: int, spaces, padded, steps, n, delays_m, gains,
+               spectrum, power) -> None:
+    """Beamform and delay-transform one block of valid angles (a slice of
+    contiguous rows of power) over the n sweep points, and write the tap
+    magnitudes into those rows.
 
-    work is _beamform's buffers plus two (block, L) complex buffers a and b
-    for the chirp convolution of length L, so a worker allocates no sum- or
-    FFT-sized array; only the block's delays and steering phases.
+    spaces[worker] is this worker's _beamform buffers plus one (block, L)
+    complex buffer for the chirp convolution of length L, transformed in
+    place, so a worker allocates no sum- or FFT-sized array; only the
+    block's delays and steering phases.
     """
-    *beam, a, b = work
-    n_fft = power.shape[1]
-    while True:
-        try:
-            rows = todo.popleft()  # thread-safe
-        except IndexError:
-            return
-        k = rows.stop - rows.start
-        x = _beamform(padded, steps, delays_m[:, rows], beam)[:, :n]
-        if gains is not None:
-            x /= gains[rows, None]
-        np.fft.fft(x, spectrum.size, out=b[:k])
-        b[:k] *= spectrum
-        np.fft.ifft(b[:k], out=a[:k])
-        np.abs(a[:k, :n_fft], out=power[rows])
+    *beam, conv = spaces[worker]
+    k = rows.stop - rows.start
+    x = _beamform(padded, steps, delays_m[:, rows], beam)[:, :n]
+    if gains is not None:
+        x /= gains[rows, None]
+    np.fft.fft(x, spectrum.size, out=conv[:k])
+    conv[:k] *= spectrum
+    np.fft.ifft(conv[:k], out=conv[:k])
+    np.abs(conv[:k, :power.shape[1]], out=power[rows])
+
+
+def _to_db(rows: slice, worker: int, power: np.ndarray, peak: float) -> None:
+    """20*log10(power / peak) in place, on rows of power; a zero reads -inf."""
+    block = power[rows]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        block /= peak
+        np.log10(block, out=block)
+        block *= 20.0
 
 
 def aoa_delay_profile(
@@ -383,13 +387,14 @@ def aoa_delay_profile(
 
     The valid angles are split over worker threads, one per CPU the process
     may run on, capped at the number of AOA_ANGLE_BLOCK blocks and at
-    AOA_MAX_WORKERS. The AOA_ANGLE_BLOCK angles in flight are shared among
+    types.MAX_WORKERS. The AOA_ANGLE_BLOCK angles in flight are shared among
     the workers, so peak memory does not grow with the core count: each takes
     the next block of at most AOA_ANGLE_BLOCK // workers adjacent valid
     angles from a shared queue, so a worker on a busy core takes fewer. A
     worker writes only its blocks' rows of the map, in a workspace allocated
-    here, once per call. A row's values do not depend on the worker count.
-    The conversion to dB, in place, follows in this thread.
+    here, once per call. After the map's global peak is found, the same
+    workers convert it to dB in place, AOA_ANGLE_BLOCK rows at a time. A
+    row's values do not depend on the worker count.
     """
     angles = np.asarray(angle_grid_deg, dtype=np.float64)
     if angles.ndim != 1 or angles.size < 1:
@@ -421,34 +426,23 @@ def aoa_delay_profile(
     spectrum = _chirp_kernel(n, n_fft)[1]
     power = np.empty((angles.size, n_fft))  # the workers write every valid row
     power[~valid] = np.nan
-    workers = min(_usable_cpus(), -(-int(valid.sum()) // AOA_ANGLE_BLOCK), AOA_MAX_WORKERS)
+    workers = _worker_count(-(-int(valid.sum()) // AOA_ANGLE_BLOCK))
     block = AOA_ANGLE_BLOCK // workers
     # each run of valid angles in blocks of at most `block`, so no block spans a masked one
     runs = np.flatnonzero(np.diff(valid, prepend=False, append=False)).reshape(-1, 2)
-    todo = deque(slice(s, min(s + block, stop)) for start, stop in runs
-                 for s in range(start, stop, block))
+    blocks = [slice(s, min(s + block, stop)) for start, stop in runs
+              for s in range(start, stop, block)]
     shapes = ((n_elem, block, n_coarse), (n_elem, block, step), (block, n_coarse, step),
-              (block, n_coarse, step), (block, spectrum.size), (block, spectrum.size))
+              (block, n_coarse, step), (block, spectrum.size))
     spaces = [tuple(np.empty(shape, np.complex128) for shape in shapes) for _ in range(workers)]
-    rows_of = partial(_aoa_rows, todo, padded=padded, steps=steps, n=n, delays_m=delays_m,
-                      gains=gains, spectrum=spectrum, power=power)
-    if workers == 1:
-        rows_of(spaces[0])
-    else:  # this thread is the first worker
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(workers - 1) as pool:
-            others = [pool.submit(rows_of, work) for work in spaces[1:]]
-            rows_of(spaces[0])
-            for done in others:
-                done.result()
+    _run_slices(partial(_aoa_block, spaces=spaces, padded=padded, steps=steps, n=n,
+                        delays_m=delays_m, gains=gains, spectrum=spectrum, power=power),
+                blocks, workers)
     # Freed here rather than on return, the workspaces kept the peak RSS of
     # the bench's chamber job about 3 MB lower (glibc's heap).
-    del spaces, rows_of
+    del spaces
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        power /= np.nanmax(power)
-        np.log10(power, out=power)
-        power *= 20.0
+    row_blocks = [slice(s, s + AOA_ANGLE_BLOCK) for s in range(0, angles.size, AOA_ANGLE_BLOCK)]
+    _run_slices(partial(_to_db, power=power, peak=np.nanmax(power)), row_blocks, workers)
     delays = np.arange(n_fft) * (1.0 / (n_fft * float(freqs[1] - freqs[0])))
     return AoaDelayProfile(angles_deg=angles, delays=delays, power_db=power, valid=valid)

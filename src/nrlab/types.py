@@ -1,7 +1,11 @@
-"""Shared domain types for the synthesis/detection pipeline."""
+"""Shared domain types for the synthesis/detection pipeline, and the worker
+threads that the sounding and otasim layers share."""
 from __future__ import annotations
 
+import os
+from collections import deque
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -9,6 +13,60 @@ N_SSB_SYMBOLS = 4
 N_SSB_SUBCARRIERS = 240
 SYNC_SEQ_LEN = 127
 SYNC_BAND = slice(56, 56 + SYNC_SEQ_LEN)  # the subcarriers of the PSS and the SSS
+# At most 4 worker threads per call: each slice of work also costs some
+# Python under the GIL (about 0.3 ms per block of the AoA map), which more
+# workers cannot share.
+MAX_WORKERS = 4
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _worker_count(slices: int) -> int:
+    """Threads for `slices` independent slices of work: one per usable CPU,
+    at most MAX_WORKERS and at most one per slice, and at least one."""
+    return max(1, min(_usable_cpus(), MAX_WORKERS, slices))
+
+
+def _run_slices(run: Callable[[slice, int], None], slices: Sequence[slice], workers: int) -> None:
+    """Call run(s, w) once for each s in slices, on `workers` threads that
+    take the slices in order from one shared queue, so a worker on a busy
+    core takes fewer. w (0 .. workers - 1) numbers the thread that took s,
+    so that run can keep one buffer per worker.
+
+    The calling thread is worker 0. The others are started here and joined
+    before this returns, so no thread outlives the call. With one worker, or
+    fewer than two slices, every slice runs in the calling thread and no
+    thread starts. numpy releases the GIL in its FFT and ufunc loops and in
+    np.convolve, so the workers overlap there. Error states set with
+    np.errstate hold only in the thread that set them. An exception that run
+    raises reaches the caller once every worker has stopped.
+    """
+    todo = deque(slices)
+    workers = min(workers, len(todo))
+
+    def drain(worker: int) -> None:
+        while True:
+            try:
+                s = todo.popleft()  # thread-safe
+            except IndexError:
+                return
+            run(s, worker)
+
+    if workers <= 1:
+        drain(0)
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(workers - 1) as pool:
+        others = [pool.submit(drain, w) for w in range(1, workers)]
+        drain(0)
+        for done in others:
+            done.result()
 
 
 def _median(values) -> float:

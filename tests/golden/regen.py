@@ -1,4 +1,5 @@
-"""Seeded CLI reports pinned in reports.json, and the script that rewrites it.
+"""Seeded CLI reports and chamber jobs pinned in reports.json, and the
+script that rewrites it.
 
     PYTHONPATH=src python tests/golden/regen.py
 
@@ -7,8 +8,11 @@ produce to reports.json, next to this file, with the directory replaced by
 "<tmp>" in every string. The `sound` entry stands for the two CSV files of
 `nrlab sound --aoa --deembed` on a seeded 8-element scan (see write_scan):
 their SHA-256 digests, their parsed dB cells, the AoA peak cell and the
-number of masked AoA rows. tests/test_golden.py runs the same commands and
-compares. Rewrite the file only for a change that is meant to move a report.
+number of masked AoA rows. The `chamber` entry holds two seeded library-level
+chamber jobs (see chamber_job): digests of the AoA map, the PDPs and the
+faded capture, and the values a check reads off them. tests/test_golden.py
+runs the same commands and jobs and compares. Rewrite the file only for a
+change that is meant to move a report.
 """
 from __future__ import annotations
 
@@ -98,6 +102,93 @@ def sound_outputs(tmp: str) -> dict:
     }
 
 
+# chamber: an 8-element scan at 100 GHz with a pattern null, an 8-port
+# wireless cable and a keyhole RC channel that fades a capture of several
+# apply_channel chunks.
+CHAMBER_SEEDS = (23, 29)
+CHAMBER_POINTS = 101
+CHAMBER_ANGLES = np.arange(-90.0, 91.0, 2.0)
+CHAMBER_CAPTURE = 40_000
+RC_TAPS = 32
+RC_BINS = 256
+
+
+def _digest(array: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
+
+
+def chamber_job(seed: int) -> dict:
+    """One seeded chamber job through the library: pilot-compensated sweeps
+    to PDPs and a de-embedded AoA map, a wireless-cable calibration, and an
+    RC channel that fades a capture and is deconvolved again."""
+    from nrlab import otasim, sounding
+    from nrlab.types import IqCapture
+
+    rng = np.random.default_rng([7919, seed])
+    df = 10e6
+    freqs = 100e9 + df * np.arange(CHAMBER_POINTS)
+    x = (np.arange(SCAN_ELEMENTS) - (SCAN_ELEMENTS - 1) / 2) * sounding.SPEED_OF_LIGHT / 100e9 / 2
+    table = np.arange(-90.0, 91.0, 1.0)
+    gain = (0.3 + 0.7 * np.cos(np.deg2rad(table)) ** 2) * np.exp(1j * np.deg2rad(table) / 5)
+    gain[np.abs(table - 45) <= 5] = 1e-2  # below the mask
+    pattern = sounding.AntennaPattern(table, gain)
+    paths = [(float(rng.integers(-60, 30)), int(rng.integers(5, 45)), 1.0),
+             (float(rng.integers(-60, 30)), int(rng.integers(55, 95)), 0.7)]
+    sweeps = []
+    for xm in x:
+        h = np.zeros(CHAMBER_POINTS, dtype=complex)
+        for angle, delay_bin, amplitude in paths:
+            tau = (delay_bin / (CHAMBER_POINTS * df)
+                   + xm * np.sin(np.deg2rad(angle)) / sounding.SPEED_OF_LIGHT)
+            a = amplitude * pattern.gain_at(np.array([angle]))[0]
+            h += a * np.exp(-2j * np.pi * freqs * tau)
+        h += 0.05 * (rng.standard_normal(CHAMBER_POINTS) + 1j * rng.standard_normal(CHAMBER_POINTS))
+        drift = np.exp(1j * rng.uniform(-np.pi, np.pi, CHAMBER_POINTS))
+        sweeps.append(sounding.compensate_phase(
+            sounding.FrequencySweep(freqs=freqs, h=h * drift, pilot=drift)))
+    pdps = [sounding.cir_to_pdp(sounding.sweep_to_cir(s)) for s in sweeps]
+    scan = sounding.deembed_pattern(sounding.VirtualArrayScan(
+        np.stack([x, 0 * x, 0 * x], axis=1), sweeps, pattern=pattern))
+    profile = sounding.aoa_delay_profile(scan, CHAMBER_ANGLES)
+
+    truth = otasim.random_well_conditioned(8, rng)
+    estimate = otasim.estimate_transfer_matrix(
+        otasim.make_rsrp_sounder(truth, noise_db=60.0, rng=rng), 8)
+    isolation = otasim.isolation_db(truth.a @ otasim.compute_calibration(estimate))
+
+    spacing = 1e-6
+    fading = otasim.simulate_rc_channel(otasim.RcChannelModel(
+        tau_rc=4 * spacing, n_taps=RC_TAPS, tap_spacing=spacing, keyhole=True,
+        seed=int(rng.integers(0, 2**31))))
+    samples = rng.standard_normal(CHAMBER_CAPTURE) + 1j * rng.standard_normal(CHAMBER_CAPTURE)
+    faded = otasim.apply_channel(IqCapture(samples, 1.0 / spacing), fading).samples
+    device_bin = int(rng.integers(1, RC_BINS))
+    chamber = np.zeros(RC_BINS, dtype=complex)
+    chamber[:RC_TAPS] = fading.gains
+    meta = {"delay_resolution": spacing, "max_delay": RC_BINS * spacing}
+    corrected = otasim.cancel_rc_decay(
+        sounding.Cir(taps=np.roll(chamber, device_bin), **meta),
+        sounding.Cir(taps=chamber, **meta), 1e-3)
+    return {
+        "aoa_map_sha256": _digest(profile.power_db),
+        "aoa_peak_cell": [int(i) for i in np.unravel_index(np.nanargmax(profile.power_db),
+                                                           profile.power_db.shape)],
+        "aoa_masked_rows": int(np.count_nonzero(~profile.valid)),
+        "pdp_sha256": [_digest(pdp.power_db) for pdp in pdps],
+        "pdp_noise_floor_db": [float(pdp.noise_floor_db) for pdp in pdps],
+        "isolation_db": float(isolation),
+        "rc_device_bin": device_bin,
+        "rc_peak_bin": int(np.argmax(np.abs(corrected.taps))),
+        "faded_sha256": _digest(faded),
+        "faded_samples": int(faded.size),
+        "faded_energy": float(np.vdot(faded, faded).real),
+    }
+
+
+def run_chamber_jobs() -> list[dict]:
+    return [chamber_job(seed) for seed in CHAMBER_SEEDS]
+
+
 def _normalized(value, tmp: str):
     if isinstance(value, dict):
         return {k: _normalized(v, tmp) for k, v in value.items()}
@@ -179,7 +270,8 @@ def platform_fingerprint() -> dict:
 
 
 def main() -> None:
-    golden = {"platform": platform_fingerprint(), "reports": run_commands()}
+    golden = {"platform": platform_fingerprint(), "reports": run_commands(),
+              "chamber": run_chamber_jobs()}
     GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {GOLDEN} ({GOLDEN.stat().st_size} bytes)", file=sys.stderr)
 

@@ -169,6 +169,33 @@ class TestExposure:
         assert "error: coverage factor must be finite and > 0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("where, value, message", [
+        ("timing_sample", 1.5, "bursts[0].timing_sample must be a whole number >= 0, got 1.5"),
+        ("timing_sample", True, "bursts[0].timing_sample must be a whole number >= 0, got True"),
+        ("timing_sample", -5, "bursts[0].timing_sample must be a whole number >= 0, got -5"),
+        ("i_ssb_bar", 9, "bursts[0].i_ssb_bar must be a whole number in 0..7, got 9"),
+        ("i_ssb_bar", 2.7, "bursts[0].i_ssb_bar must be a whole number in 0..7, got 2.7"),
+        ("cell_id_conflict", "no", "cell_id_conflict must be true or false, got 'no'"),
+        ("cell", 4, "cell_id.cell must be 3*n1 + n2 = 3, got 4"),
+        ("cfo_hz", None, "cfo_hz must be a finite number, got None"),
+        ("pss", None, "bursts[0].metrics.pss must be a finite number, got None"),
+    ], ids=["timing-1.5", "timing-true", "timing-negative", "i_ssb_bar-9", "i_ssb_bar-2.7",
+            "conflict-string", "cell-not-3n1+n2", "cfo-null", "metric-null"])
+    def test_bad_detection_field_exit_1(self, tmp_path, capsys, cell3_capture, where, value,
+                                        message):
+        det = tmp_path / "det.json"
+        assert run("detect", "--in", cell3_capture, "--out", det) == EXIT_OK
+        report = json.loads(det.read_text())
+        burst = report["bursts"][0]
+        {"timing_sample": burst, "i_ssb_bar": burst, "pss": burst["metrics"],
+         "cell": report["cell_id"]}.get(where, report)[where] = value
+        det.write_text(json.dumps(report))
+        out = tmp_path / "exp.json"
+        assert run("exposure", "--capture", cell3_capture, "--detection", det,
+                   "--out", out) == EXIT_ERROR
+        assert f"error: detection report {det}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_empty_detection_exit_2(self, tmp_path):
         noise = tmp_path / "noise.iq"
         run("generate", "--out", noise, "--bursts", 0, "--snr-db", 0)
@@ -306,6 +333,31 @@ class TestSound:
         out, aoa_out = tmp_path / "pdp.csv", tmp_path / "aoa.csv"
         assert run(
             "sound", "--in", *paths, "--aoa", "--geometry", geo, *extra,
+            "--out", out, "--aoa-out", aoa_out,
+        ) == EXIT_ERROR
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+        assert not aoa_out.exists()
+
+    @pytest.mark.parametrize("case, message", [
+        ("pattern-gain-1e400", "is not valid JSON: 1e400 overflows a float"),
+        ("element-1e400", "is not valid JSON: 1e400 overflows a float"),
+        ("pattern-gain-past-float-range", "pattern angles and gains must be finite"),
+    ])
+    def test_overflowing_geometry_exit_1(self, tmp_path, capsys, case, message):
+        # JSON reads 1e400 as inf, which once left AoA rows empty and exited 0
+        paths, geo = self.make_broadside_scan(tmp_path)
+        geometry = json.loads(geo.read_text())
+        geometry["pattern"] = [[a, 0.0, 0.0] for a in range(-90, 91)]
+        if case == "element-1e400":
+            geometry["elements"][3][0] = "HUGE"
+        else:
+            geometry["pattern"][90][1] = "HUGE"
+        huge = "1e300" if case == "pattern-gain-past-float-range" else "1e400"
+        geo.write_text(json.dumps(geometry).replace('"HUGE"', huge))
+        out, aoa_out = tmp_path / "pdp.csv", tmp_path / "aoa.csv"
+        assert run(
+            "sound", "--in", *paths, "--aoa", "--deembed", "--geometry", geo,
             "--out", out, "--aoa-out", aoa_out,
         ) == EXIT_ERROR
         assert message in capsys.readouterr().err

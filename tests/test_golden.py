@@ -1,4 +1,5 @@
-"""The seeded CLI reports of tests/golden/regen.py against tests/golden/reports.json.
+"""The seeded CLI reports and chamber jobs of tests/golden/regen.py against
+tests/golden/reports.json.
 
 Keys, ints, strings, bools and nulls must match exactly. Where the platform
 fingerprint recorded in the file (numpy version, machine type, numpy's CPU
@@ -16,7 +17,7 @@ import math
 import numpy as np
 import pytest
 
-from golden.regen import GOLDEN, platform_fingerprint, run_commands
+from golden.regen import GOLDEN, platform_fingerprint, run_chamber_jobs, run_commands
 
 REL_TOL = 1e-9
 DB_TOL = 0.011
@@ -53,6 +54,33 @@ def golden():
 def test_reports_match_golden(golden):
     exact = golden["platform"] == platform_fingerprint()
     assert mismatches(run_commands(), golden["reports"], exact) == []
+
+
+def test_chamber_jobs_match_golden(golden):
+    # the AoA map, the PDPs and the faded capture were pinned before their
+    # passes ran on worker threads; their bytes must not depend on that
+    exact = golden["platform"] == platform_fingerprint()
+    assert mismatches(run_chamber_jobs(), golden["chamber"], exact) == []
+
+
+def test_golden_file_stays_small():
+    assert GOLDEN.stat().st_size < 200_000
+
+
+def test_chamber_digests_off_the_writing_platform(golden):
+    want = golden["chamber"]
+    got = copy.deepcopy(want)
+    got[0]["faded_sha256"] = "0" * 64
+    got[1]["pdp_sha256"][3] = "0" * 64
+    got[1]["isolation_db"] += 0.01
+    assert mismatches(got, want, exact=True) == [
+        f"/0/faded_sha256: {'0' * 64!r} != {want[0]['faded_sha256']!r}",
+        f"/1/isolation_db: {got[1]['isolation_db']!r} != {want[1]['isolation_db']!r}",
+        f"/1/pdp_sha256/3: {'0' * 64!r} != {want[1]['pdp_sha256'][3]!r}"]
+    assert mismatches(got, want, exact=False) == []
+    got[0]["rc_peak_bin"] += 1
+    assert mismatches(got, want, exact=False) == [
+        f"/0/rc_peak_bin: {want[0]['rc_peak_bin'] + 1} != {want[0]['rc_peak_bin']}"]
 
 
 def test_comparison_catches_one_bit_and_one_sample(golden):

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -274,6 +275,48 @@ class TestReports:
         path.write_text(f'{{"elements": [[{constant}, 0, 0]]}}')
         with pytest.raises(ValueError, match=f"is not valid JSON: {constant} is not a JSON number"):
             read_json_object(path, "geometry file")
+
+    @pytest.mark.parametrize("number", ["1e400", "-1e400", "1.8e308"])
+    def test_read_rejects_numbers_past_float_range(self, tmp_path, number):
+        path = tmp_path / "geo.json"
+        path.write_text(f'{{"elements": [[0, {number}, 0]]}}')
+        with pytest.raises(ValueError, match=f"is not valid JSON: {number} overflows a float"):
+            read_json_object(path, "geometry file")
+
+    def test_read_rejects_integers_past_float_range(self, tmp_path):
+        path = tmp_path / "geo.json"
+        path.write_text('{"elements": [[0, %s, 0]], "seed": %d}' % ("9" * 309, 2**64))
+        with pytest.raises(ValueError, match=r"99999999999999999999\.\.\. \(309 digits\) overflows"):
+            read_json_object(path, "geometry file")
+        path.write_text('{"elements": [[0, %s, 0]], "seed": %d}' % ("9" * 308, 2**64))
+        assert read_json_object(path, "geometry file")["seed"] == 2**64
+
+    def test_detection_report_fields_checked(self, tmp_path):
+        path = tmp_path / "det.json"
+        result = DetectionResult(
+            cell_id=CellId(n1=7, n2=2),
+            bursts=[SsbBurst(timing=0, i_ssb_bar=7, pss_metric=1, sss_metric=0.5,
+                             dmrs_metric=0.25)],
+            cfo=-3.0,
+            cell_id_conflict=True,
+        )
+        write_detection_report(path, result, {})
+        raw = json.loads(path.read_text())
+        # whole numbers written as floats, and ints for floats, read back the same
+        raw["bursts"][0]["timing_sample"] = 0.0
+        raw["bursts"][0]["metrics"]["pss"] = 1
+        path.write_text(json.dumps(raw))
+        assert read_detection_report(path) == result
+        for broken, message in [
+            ({"cfo_hz": "12.5"}, "cfo_hz must be a finite number, got '12.5'"),
+            ({"cell_id": {"n1": 7, "n2": 3, "cell": 24}}, "cell_id.n2 must be a whole number in 0..2"),
+            ({"cell_id": {"n1": 7, "n2": 2}}, "missing field cell_id.cell"),
+            ({"bursts": {}}, "bursts must be a list"),
+            ({"bursts": [5]}, "bursts[0] must be an object"),
+        ]:
+            path.write_text(json.dumps({**raw, **broken}))
+            with pytest.raises(ValueError, match=re.escape(message)):
+                read_detection_report(path)
 
     def test_read_rejects_non_object(self, tmp_path):
         path = tmp_path / "report.json"

@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 import warnings
 
@@ -23,6 +24,8 @@ from nrlab import (
     simulate_rc_channel,
     sound_rsrp,
 )
+from nrlab import types
+from nrlab.otasim import CHANNEL_CHUNK
 
 
 def align_row_phases(estimate: np.ndarray, truth: np.ndarray) -> np.ndarray:
@@ -408,6 +411,73 @@ class TestApplyChannel:
             )
         expected = float(np.sum(np.abs(gains) ** 2))
         assert np.mean(ratios) == pytest.approx(expected, rel=0.02)
+
+
+def channel_with_workers(capture, taps, workers):
+    """apply_channel with the CPU count forced to `workers`, and the threads
+    that the call started."""
+    started = []
+    start = threading.Thread.start
+
+    def counted(thread):
+        started.append(thread)
+        start(thread)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(types, "_usable_cpus", lambda: workers)
+        mp.setattr(threading.Thread, "start", counted)
+        return apply_channel(capture, taps).samples, started
+
+
+def dense_taps(n_taps, seed):
+    """A realization with a tap on each of the first n_taps samples at 1 Msps."""
+    rng = np.random.default_rng(seed)
+    return FadingRealization(delays=np.arange(n_taps) * 1e-6,
+                             gains=rng.standard_normal(n_taps) + 1j * rng.standard_normal(n_taps))
+
+
+class TestApplyChannelChunks:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_bytes_equal_one_convolution(self, workers):
+        # lengths on either side of one, two and three chunks
+        c = CHANNEL_CHUNK
+        rng = np.random.default_rng(workers)
+        for n in (1, 5, 31, 32, 33, 64, c - 1, c, c + 1, 2 * c - 1, 2 * c, 2 * c + 1, 3 * c + 7):
+            x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            for n_taps in (1, 2, 31, 32, 33, 64):
+                taps = dense_taps(n_taps, n + n_taps)
+                got, _ = channel_with_workers(IqCapture(x, 1e6), taps, workers)
+                assert got.tobytes() == np.convolve(x, taps.gains).tobytes(), (n, n_taps)
+
+    @pytest.mark.parametrize("n", [CHANNEL_CHUNK // 2, 3 * CHANNEL_CHUNK + 1])
+    def test_more_taps_than_a_chunk(self, n):
+        # the chunks grow to one output sample per tap
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        taps = dense_taps(CHANNEL_CHUNK + 3, 7)
+        got, _ = channel_with_workers(IqCapture(x, 1e6), taps, 2)
+        assert got.tobytes() == np.convolve(x, taps.gains).tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_empty_capture(self, workers):
+        got, started = channel_with_workers(IqCapture(np.zeros(0, complex), 1e6),
+                                            dense_taps(5, 0), workers)
+        assert got.tobytes() == np.zeros(4, complex).tobytes() and started == []
+
+    def test_no_thread_outlives_the_call(self):
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal(20 * CHANNEL_CHUNK) + 1j * rng.standard_normal(20 * CHANNEL_CHUNK)
+        before = threading.active_count()
+        _, started = channel_with_workers(IqCapture(x, 1e6), dense_taps(32, 1), 3)
+        assert 1 <= len(started) <= 2
+        assert not any(t.is_alive() for t in started)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("n", [1, CHANNEL_CHUNK])
+    def test_capture_shorter_than_two_chunks_starts_no_thread(self, n):
+        x = np.ones(n, dtype=complex)
+        got, started = channel_with_workers(IqCapture(x, 1e6), dense_taps(32, 2), 4)
+        assert started == [] and got.size == n + 31
 
 
 class TestAwgn:

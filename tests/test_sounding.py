@@ -18,8 +18,14 @@ from nrlab import (
     deembed_pattern,
     sweep_to_cir,
 )
-from nrlab import sounding
-from nrlab.sounding import AOA_ANGLE_BLOCK, SPEED_OF_LIGHT, _chirp_kernel, _delay_taps
+from nrlab import sounding, types
+from nrlab.sounding import (
+    AOA_ANGLE_BLOCK,
+    SPEED_OF_LIGHT,
+    _chirp_kernel,
+    _delay_taps,
+    _window_weights,
+)
 
 from aoa_reference import reference_aoa_delay_profile, reference_sweep_to_cir
 
@@ -189,6 +195,34 @@ class TestChirpZTransform:
             with pytest.raises(ValueError):
                 array[0] = 0
 
+    def test_window_weights_are_kept_and_read_only(self):
+        weights = _window_weights("hann", 4, 1601)
+        assert _window_weights("hann", 4, 1601) is weights
+        assert not weights.flags.writeable
+        with pytest.raises(ValueError):
+            weights[0] = 0
+        # the weights that were built on every call before they were kept
+        chirp, _ = _chirp_kernel(1601, 6404)
+        w = np.hanning(1601)
+        assert weights.tobytes() == (chirp[:1601] * (w / (w.mean() * 1601))).tobytes()
+
+    def test_rejected_window_raises_on_every_call(self):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="hann window over 2 points is all zeros"):
+                _window_weights("hann", 4, 2)
+
+    @pytest.mark.parametrize("shape, pad_factor", [((201,), 4), ((3, 1601), 4), ((2, 50), 3)])
+    def test_in_place_transform_is_bit_identical(self, shape, pad_factor):
+        # the inverse FFT into its own input against the one into a new array
+        rng = np.random.default_rng(shape[-1])
+        h = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        n = shape[-1]
+        chirp, spectrum = _chirp_kernel(n, pad_factor * n)
+        conv = np.fft.fft(h * _window_weights("hamming", pad_factor, n), spectrum.size)
+        conv *= spectrum
+        want = np.fft.ifft(conv)[..., :pad_factor * n] * chirp
+        assert _delay_taps(h, "hamming", pad_factor).tobytes() == want.tobytes()
+
 
 class TestCirToPdp:
     def test_peak_is_exactly_zero_db(self):
@@ -340,6 +374,26 @@ def cos_squared_pattern():
         1j * np.deg2rad(angles) / 4
     )
     return AntennaPattern(angles_deg=angles, gain=gain)
+
+
+class TestGeometryFiniteness:
+    @pytest.mark.parametrize("angles, gain", [
+        ([-90.0, np.inf, 90.0], [1.0, 1.0, 1.0]),
+        ([-90.0, np.nan, 90.0], [1.0, 1.0, 1.0]),
+        ([-90.0, 0.0, 90.0], [1.0, np.inf, 1.0]),
+        ([-90.0, 0.0, 90.0], [1.0, complex(1, np.nan), 1.0]),
+    ])
+    def test_pattern_rejects_non_finite(self, angles, gain):
+        with pytest.raises(ValueError, match="pattern angles and gains must be finite"):
+            AntennaPattern(angles_deg=np.array(angles), gain=np.array(gain))
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_scan_rejects_non_finite_positions(self, value):
+        positions = ULA16.copy()
+        positions[3, 1] = value
+        sweeps = plane_wave_scan(ULA16, [(0.0, on_grid_delay(10), 1.0)])
+        with pytest.raises(ValueError, match="element_positions must be finite"):
+            VirtualArrayScan(positions, sweeps)
 
 
 class TestDeembedPattern:
@@ -546,18 +600,19 @@ def random_scan(rng, n_elements, n_points, angles, masked):
 
 def profile_with_workers(scan, angles, workers, **kwargs):
     """The map with the CPU count forced to `workers`, and the number of
-    workers that ran."""
+    workers that each of its two passes, the rows and then the dB pass, ran
+    on."""
     ran = []
-    run_rows = sounding._aoa_rows
+    run_slices = sounding._run_slices
 
-    def counted(todo, work, **rest):
-        ran.append(work)
-        run_rows(todo, work, **rest)
+    def counted(run, slices, n):
+        ran.append(min(n, len(slices)))
+        run_slices(run, slices, n)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sounding, "_usable_cpus", lambda: workers)
-        mp.setattr(sounding, "_aoa_rows", counted)
-        return aoa_delay_profile(scan, angles, **kwargs), len(ran)
+        mp.setattr(types, "_usable_cpus", lambda: workers)
+        mp.setattr(sounding, "_run_slices", counted)
+        return aoa_delay_profile(scan, angles, **kwargs), tuple(ran)
 
 
 class TestAoaWorkers:
@@ -587,11 +642,11 @@ class TestAoaWorkers:
         window = "rectangular" if n_points == 2 else "hamming"
         want, ran = profile_with_workers(scan, angles, 1, window=window, pad_factor=pad_factor)
         n_valid = int(want.valid.sum())
-        assert ran == 1
+        assert ran == (1, 1)
         for workers in (2, 3):
             got, ran = profile_with_workers(scan, angles, workers, window=window,
                                             pad_factor=pad_factor)
-            assert ran == min(workers, -(-n_valid // AOA_ANGLE_BLOCK))
+            assert ran == (min(workers, -(-n_valid // AOA_ANGLE_BLOCK)),) * 2
             for name in ("power_db", "valid", "delays", "angles_deg"):
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
@@ -600,8 +655,31 @@ class TestAoaWorkers:
         scan = random_scan(rng, 4, 50, ANGLES, None)
         before = threading.active_count()
         _, ran = profile_with_workers(scan, ANGLES, 2)
-        assert ran == 2
+        assert ran == (2, 2)
         assert threading.active_count() == before
+
+    def test_db_pass_runs_on_the_map_workers(self):
+        # each of two workers waits on its first dB slice until the other
+        # has one too, which only two threads running the pass can pass
+        rng = np.random.default_rng(6)
+        scan = random_scan(rng, 3, 20, ANGLES, (30, 20))
+        want, _ = profile_with_workers(scan, ANGLES, 1)
+        meet = threading.Barrier(2, timeout=10)
+        seen = {}
+        to_db = sounding._to_db
+
+        def met(rows, worker, **rest):
+            if worker not in seen:
+                seen[worker] = threading.get_ident()
+                meet.wait()
+            to_db(rows, worker, **rest)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sounding, "_to_db", met)
+            got, ran = profile_with_workers(scan, ANGLES, 2)
+        assert ran == (2, 2)
+        assert sorted(seen) == [0, 1] and seen[0] == threading.get_ident() != seen[1]
+        assert got.power_db.tobytes() == want.power_db.tobytes()
 
     def test_more_workers_than_cores_switching_often(self):
         # four workers share the block queue and the map; a block lost or
@@ -614,7 +692,7 @@ class TestAoaWorkers:
         try:
             for _ in range(5):
                 got, ran = profile_with_workers(scan, ANGLES, 4)
-                assert ran == 4
+                assert ran == (4, 4)
                 assert got.power_db.tobytes() == want.power_db.tobytes()
         finally:
             sys.setswitchinterval(interval)
@@ -631,5 +709,5 @@ class TestAoaWorkers:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert profile.power_db.shape == (181, 6404) and ran == workers
+        assert profile.power_db.shape == (181, 6404) and ran == (workers, workers)
         assert peak <= 17e6, f"traced peak {peak} B"

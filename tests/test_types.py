@@ -1,10 +1,13 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nrlab import IqCapture
-from nrlab.types import _median
+from nrlab import IqCapture, types
+from nrlab.types import MAX_WORKERS, _median, _run_slices, _worker_count
 
 
 class TestMedian:
@@ -56,3 +59,81 @@ class TestIqCaptureScale:
 
     def test_positive_scale_accepted(self):
         assert IqCapture(np.ones(4, dtype=complex), 1e6, scale=1e-30).scale == 1e-30
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """The threads started while the test runs."""
+    threads = []
+    start = threading.Thread.start
+
+    def counted(thread):
+        threads.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    return threads
+
+
+class TestRunSlices:
+    @pytest.mark.parametrize("cpus, slices, workers", [
+        (1, 10, 1), (2, 10, 2), (3, 2, 2), (8, 100, MAX_WORKERS), (2, 0, 1)])
+    def test_worker_count(self, monkeypatch, cpus, slices, workers):
+        monkeypatch.setattr(types, "_usable_cpus", lambda: cpus)
+        assert _worker_count(slices) == workers
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_every_worker_runs_and_none_outlives_the_call(self, started, workers):
+        # each worker waits on its first slice until all have one, which
+        # only `workers` threads running at once can pass
+        meet = threading.Barrier(workers, timeout=10)
+        taken = []
+
+        def run(s, worker):
+            if worker not in {w for _, w in taken}:
+                taken.append((s, worker))
+                meet.wait()
+            else:
+                taken.append((s, worker))
+
+        before = threading.active_count()
+        _run_slices(run, [slice(i, i + 1) for i in range(10)], workers)
+        assert sorted(s.start for s, _ in taken) == list(range(10))
+        assert {w for _, w in taken} == set(range(workers))
+        assert len(started) == workers - 1
+        assert not any(t.is_alive() for t in started)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("workers, n_slices", [(1, 5), (3, 1), (3, 0)])
+    def test_one_worker_or_one_slice_starts_no_thread(self, started, workers, n_slices):
+        ran = []
+        _run_slices(lambda s, w: ran.append((s.start, w, threading.get_ident())),
+                    [slice(i, i + 1) for i in range(n_slices)], workers)
+        assert ran == [(i, 0, threading.get_ident()) for i in range(n_slices)]
+        assert started == []
+
+    def test_an_exception_reaches_the_caller_after_the_workers_stop(self, started):
+        def run(s, worker):
+            if s.start == 7:
+                raise KeyError("slice 7")
+
+        with pytest.raises(KeyError, match="slice 7"):
+            _run_slices(run, [slice(i, i + 1) for i in range(20)], 3)
+        assert started and not any(t.is_alive() for t in started)
+
+    def test_more_workers_than_cores_switching_often(self):
+        # a slice lost or taken twice would leave a count other than 1
+        counts = np.zeros(2000, dtype=np.int64)
+
+        def run(s, worker):
+            counts[s] += 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                counts[:] = 0
+                _run_slices(run, [slice(i, i + 1) for i in range(counts.size)], 4)
+                assert np.all(counts == 1)
+        finally:
+            sys.setswitchinterval(interval)
