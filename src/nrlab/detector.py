@@ -6,17 +6,19 @@ FFT size. Each sector's replica has one block spectrum, and an integer-bin
 CFO hypothesis is that spectrum rolled by whole bins. One kernel,
 _bin_maxima, takes the maximum over a sector's CFO bins of the inverse
 transforms, rolling, multiplying and transforming in place in reused
-buffers. The blocks are streamed in groups of _SCAN_GROUP, each transformed
-once into a preallocated buffer, and the window energies continue a running
-|x|^2 sum carried from the group before. Of each group's lags only the runs
-at or above the threshold, with a neighbour either side, are kept for peak
-picking, so the scan's memory is bounded by the group, not the capture.
-Each group is first screened by the kernel in single precision, in the
-first half of the exact pass's buffers; a sector takes the exact,
-double-precision pass only where the screen, widened by a proven bound on
-its rounding error, could reach the threshold. The winning bin is refined
-by the phase slope between the two halves of the matched symbol, against a
-bin-shifted replica cached per sector and bin.
+buffers. Its per-numerology state is one cached table, _scan_tables. The
+blocks are streamed in groups of _SCAN_GROUP, each group loaded once,
+zero-padded past the capture, into a preallocated buffer, and the window
+energies continue a running |x|^2 sum carried from the group before. Of
+each group's lags only the runs at or above the threshold, with a neighbour
+either side, are kept for peak picking, so the scan's memory is bounded by
+the group, not the capture. Each group is first screened by the kernel in
+single precision, in halves of the other buffers; a sector takes the exact,
+double-precision pass, which transforms the loaded blocks in place, only
+where the screen, widened by a proven bound on its rounding error, could
+reach the threshold, and elsewhere reports the group's end lags at metric 0.
+The winning bin is refined by the phase slope between the two halves of the
+matched symbol, against a bin-shifted replica cached per sector and bin.
 Each burst is then demodulated once, its 4 symbols derotated and transformed
 in one call, and its grid feeds the frequency-domain matched correlations of
 the SSS and DM-RS stages against hypothesis banks cached per sector and cell.
@@ -45,7 +47,7 @@ from .waveform import _demodulate_symbols, _subcarrier_bins, ofdm_modulate, ssb_
 MAX_CFO_BINS = 2  # the PSS scan's CFO hypotheses: integer bins -2..2
 
 # Overlap-save blocks per PSS scan group. At the default numerology the scan
-# then peaks at about 3.0 MB of traced memory, whatever the capture length:
+# then peaks at about 2.6 MB of traced memory, whatever the capture length:
 # the buffers allocated once per call set the peak, and the single-precision
 # screen works inside them. Smaller groups pay Python overhead per group and
 # hypothesis.
@@ -163,47 +165,45 @@ def _fractional_cfo(segment: np.ndarray, replica: np.ndarray, fft_size: int) -> 
     return float(np.angle(p2 * np.conj(p1)) * fft_size / (2.0 * np.pi * half))
 
 
-def _scan_block_len(params: OfdmParams) -> int:
-    """Overlap-save block length: the smallest power of two >= 4 symbols.
-
-    Being a power of two at least fft_size long, it is a multiple of
-    fft_size, so an integer-bin CFO is a whole-bin roll of its spectrum.
-    """
-    return 1 << (4 * params.symbol_len - 1).bit_length()
-
-
 @lru_cache(maxsize=8)
-def _pss_replica_spectra(params: OfdmParams) -> np.ndarray:
-    """Conjugated block-length spectra of the three PSS replicas, shape (3, L)."""
-    spectra = np.conj(np.fft.fft(_pss_replicas(params), n=_scan_block_len(params)))
-    spectra.setflags(write=False)
-    return spectra
-
-
-@lru_cache(maxsize=8)
-def _screen_spectra(params: OfdmParams) -> tuple[np.ndarray, np.ndarray]:
-    """The replica spectra times L, rounded to complex64, shape (3, L), and
-    the largest magnitude of each sector's spectrum, shape (3,).
+def _scan_tables(
+    params: OfdmParams,
+) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, tuple[float, ...]]:
+    """The PSS scan's per-numerology table, read-only: the block length L,
+    the smallest power of two >= 4 symbols and so a multiple of fft_size;
+    the conjugated L-point replica spectra S, shape (3, L); L * S rounded to
+    complex64 for the screen; max|S| per sector, shape (3,); and the replica
+    energies.
 
     The factor L undoes the 1/L of the screen's forward transform: np.fft
-    runs a complex64 forward transform in single precision only when it
-    is given a single-precision scale factor, as with norm="forward".
-    Both are powers of two, so the products are those of the unscaled
-    spectra.
+    runs a complex64 forward transform in single precision only when it is
+    given a single-precision scale factor, as with norm="forward". Both are
+    powers of two, so the products are those of the unscaled spectra.
     """
-    spectra = _pss_replica_spectra(params)
-    rounded = (spectra * spectra.shape[1]).astype(np.complex64)
+    block = 1 << (4 * params.symbol_len - 1).bit_length()
+    replicas = _pss_replicas(params)
+    spectra = np.conj(np.fft.fft(replicas, n=block))
+    screen = (spectra * block).astype(np.complex64)
     peak = np.abs(spectra).max(axis=1)
-    rounded.setflags(write=False)
-    peak.setflags(write=False)
-    return rounded, peak
+    for table in (spectra, screen, peak):
+        table.setflags(write=False)
+    return block, spectra, screen, peak, tuple(float(np.sum(np.abs(r) ** 2)) for r in replicas)
 
 
-def _half_view(buf: np.ndarray) -> np.ndarray:
-    """The first half of a contiguous float64 or complex128 buffer's memory,
-    in single precision, in the buffer's shape."""
+def _halves(buf: np.ndarray) -> np.ndarray:
+    """The memory of a contiguous float64 or complex128 buffer as two
+    single-precision arrays of the buffer's shape, stacked."""
     single = np.float32 if buf.dtype == np.float64 else np.complex64
-    return buf.reshape(-1).view(single)[:buf.size].reshape(buf.shape)
+    return buf.reshape(-1).view(single).reshape(2, *buf.shape)
+
+
+def _load_blocks(out: np.ndarray, x: np.ndarray, start: int, step: int) -> None:
+    """Row i of `out` := the out.shape[1] samples of `x` from start + i*step,
+    zero-padded past the end of `x`."""
+    for i, row in enumerate(out):
+        seg = x[start + i * step:start + i * step + row.size]
+        row[:seg.size] = seg
+        row[seg.size:] = 0.0
 
 
 def _find_peaks(
@@ -255,9 +255,9 @@ def _kept_lags(metric: np.ndarray, threshold: float) -> np.ndarray:
     return keep
 
 
-def _screen_bounds(blocks: np.ndarray, params: OfdmParams) -> np.ndarray:
+def _screen_bounds(blocks: np.ndarray, peak: np.ndarray) -> np.ndarray:
     """delta[n2, b]: the most the single-precision screen of sector n2 can be
-    off at any lag of block b, shape (3, n_blocks).
+    off at any lag of block b, shape (3, n_blocks); `peak` holds max|S_n2|.
 
     delta = _SCREEN_MARGIN * eps32 * log2(L) * max|S_n2| * (||x_b||_2 + L * tiny32),
     with L the block length, S_n2 the sector's replica spectrum and tiny32
@@ -271,7 +271,7 @@ def _screen_bounds(blocks: np.ndarray, params: OfdmParams) -> np.ndarray:
     f32 = np.finfo(np.float32)
     norm += block * f32.tiny
     norm *= _SCREEN_MARGIN * f32.eps * (block.bit_length() - 1)
-    return np.outer(_screen_spectra(params)[1], norm)
+    return np.outer(peak, norm)
 
 
 def _bin_maxima(
@@ -304,34 +304,30 @@ def _bin_maxima(
         np.maximum(peak, mag, out=peak)
 
 
-def _zero_padded(buf: np.ndarray, tail: np.ndarray) -> np.ndarray:
-    """`buf` (1-D) holding `tail`, cast to its dtype, then zeros."""
-    buf[:tail.size] = tail
-    buf[tail.size:] = 0.0
-    return buf
-
-
 def _pss_scan(
     x: np.ndarray, params: OfdmParams, threshold: float
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(lags, metric, winning CFO bin) of the lags that peak picking needs,
-    for sectors n2 = 0, 1, 2.
+) -> list[list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+    """Runs of (lags, metric, winning CFO bin), in lag order, of the lags
+    that peak picking needs, for sectors n2 = 0, 1, 2.
 
     The metric at lag t is |sum_j x[t+j] conj(r[j])| / (|x[t:t+len]| |r|),
     maximized over the replicas r of the sector shifted by integer CFO bins;
     zero-energy windows score 0. Of bins that tie on a lag, the first
-    (most negative) wins. It is computed by overlap-save, as the module
-    docstring describes, _SCAN_GROUP blocks at a time; of each group's lags
-    only those that `_kept_lags` marks are returned.
+    (most negative) wins. It is computed by overlap-save from the table of
+    `_scan_tables`, _SCAN_GROUP blocks at a time; of each group's lags only
+    those that `_kept_lags` marks are returned.
 
-    Both passes run `_bin_maxima` in one set of buffers allocated per call,
-    with every transform into a buffer or in place. The single-precision
-    screen runs first, in the first half of the buffers. A sector's exact
-    pass runs only if at some lag with nonzero energy the screen plus its
-    bound `_screen_bounds` reaches threshold * denominator. Otherwise no lag
-    of the group can reach the threshold, and only the group's first and
-    last lag are returned, with the screened metric and bin 0: below the
-    threshold, they pick the same peaks as the exact values would.
+    `_load_blocks` loads each group's blocks once, zero-padded past the
+    capture, into `spec`. Both passes run `_bin_maxima` in buffers allocated
+    once per call, every transform into a buffer or in place. The
+    single-precision screen runs first, in the two halves of `prod` (its
+    input and its product) and the first halves of `rolled`, `mag` and
+    `peak`, so `spec` keeps the blocks for the exact pass, which transforms
+    them in place. A sector's exact pass runs only if at some lag with
+    nonzero energy the screen plus its bound `_screen_bounds` reaches
+    threshold * denominator. Otherwise no lag of the group can reach the
+    threshold, and only the group's first and last lag are returned, with
+    metric 0 and bin 0: any value below the threshold picks the same peaks.
     """
     length = params.symbol_len
     n_lags = x.size - length + 1
@@ -339,39 +335,32 @@ def _pss_scan(
     # Block b holds x[b*step : b*step + block]; its first `step` circular
     # correlation lags are free of wrap-around and are lags b*step + t.
     # Only the last block can reach past the capture.
-    block = _scan_block_len(params)
+    block, spectra, spectra32, spectra_peak, ref_energy = _scan_tables(params)
     step = block - length + 1
     n_blocks = -(-n_lags // step)
     bin_shift = block // params.fft_size
-    ref_energy = [float(np.sum(np.abs(base) ** 2)) for base in _pss_replicas(params)]
 
     # The kernel's buffers, shared by every group and hypothesis; the screen
-    # runs in single-precision views of their first halves.
+    # runs in single-precision views of their memory.
     group = min(_SCAN_GROUP, n_blocks)
     spec, prod = np.empty((2, group, block), dtype=np.complex128)
     rolled = np.empty(block, dtype=np.complex128)
     mag, peak = np.empty((2, group, step))
-    spec32, rolled32, prod32, mag32, peak32 = map(_half_view, (spec, rolled, prod, mag, peak))
+    in32, prod32 = _halves(prod)
+    rolled32, mag32, peak32 = (_halves(buf)[0] for buf in (rolled, mag, peak))
     k_best = np.empty((group, step), dtype=np.int64)
     better = np.empty((group, step), dtype=bool)
     metric_buf, energy_buf = np.empty((2, group * step))
     csum_buf = np.empty(group * step + length)
 
-    inside = (np.lib.stride_tricks.sliding_window_view(x, block)[::step] if x.size >= block
-              else np.empty((0, block), dtype=x.dtype))
-
-    kept: list[list[tuple[np.ndarray, ...]]] = [[], [], []]
+    kept: list[list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = [[], [], []]
     carry = 0.0  # sum of |x|^2 before the group's first lag
     for b0 in range(0, n_blocks, group):
         n_b = min(group, n_blocks - b0)
         lo = b0 * step
         n = min(n_b * step, n_lags - lo)  # the group's lags are lo..lo+n-1
-        # The group's blocks that lie inside the capture. A last block that
-        # reaches past its end is written, zero-padded, into each buffer
-        # that takes it, and never copied whole.
-        blocks = inside[b0:b0 + n_b]
-        full = blocks.shape[0]
-        tail = x[lo + full * step:] if full < n_b else None
+        x_spec = spec[:n_b]
+        _load_blocks(x_spec, x, lo, step)
 
         # Running sum seeded with the carry: the same sequential additions,
         # so the same values, as one cumsum over the whole capture.
@@ -387,50 +376,39 @@ def _pss_scan(
         # `slack > delta` test and so takes the exact pass.
         exact = []
         slack = metric_buf[:n]
-        x32 = spec32[:n_b]
+        x32 = in32[:n_b]
         with np.errstate(over="ignore", invalid="ignore"):
-            delta = _screen_bounds(blocks, params)
-            np.copyto(x32[:full], blocks)
-            if tail is not None:  # `rolled` is free until the kernel runs
-                padded = _zero_padded(rolled, tail)
-                delta = np.concatenate((delta, _screen_bounds(padded[None], params)), axis=1)
-                x32[full] = padded
+            delta = _screen_bounds(x_spec, spectra_peak)
+            np.copyto(x32, x_spec)
             np.fft.fft(x32, axis=1, norm="forward", out=x32)
-            for n2, spectrum in enumerate(_screen_spectra(params)[0]):
+            for n2, spectrum in enumerate(spectra32):
                 _bin_maxima(x32, spectrum, bin_shift, rolled32, prod32[:n_b],
                             mag32[:n_b], peak32[:n_b])
-                screened = peak32[:n_b].reshape(-1)[:n]
                 np.multiply(window_energy, ref_energy[n2], out=slack)
                 np.sqrt(slack, out=slack)  # the exact pass's denominators
                 np.multiply(slack, threshold, out=slack)
                 slack[slack <= 0] = np.inf  # a window without energy scores 0
-                np.subtract(slack, screened, out=slack)
-                if not np.all(np.minimum.reduceat(slack, np.arange(0, n, step))
-                              > delta[n2, :n_b]):
+                np.subtract(slack, peak32[:n_b].reshape(-1)[:n], out=slack)
+                if not np.all(np.minimum.reduceat(slack, np.arange(0, n, step)) > delta[n2]):
                     exact.append(n2)
                     continue
-                ends = np.array(sorted({0, n - 1}))
-                denom = np.sqrt(window_energy[ends] * ref_energy[n2])
-                metric = np.divide(screened[ends], denom, out=np.zeros(ends.size), where=denom > 0)
-                kept[n2].append((lo + ends, metric, np.zeros(ends.size, dtype=np.int64)))
+                ends = np.array(sorted({lo, lo + n - 1}))
+                kept[n2].append((ends, np.zeros(ends.size), np.zeros(ends.size, dtype=np.int64)))
         if not exact:
             continue
 
-        x_spec = spec[:n_b]
-        np.fft.fft(blocks, axis=1, out=x_spec[:full])
-        if tail is not None:
-            np.fft.fft(_zero_padded(x_spec[full], tail), out=x_spec[full])
+        np.fft.fft(x_spec, axis=1, out=x_spec)
         metric = metric_buf[:n]
         for n2 in exact:
-            _bin_maxima(x_spec, _pss_replica_spectra(params)[n2], bin_shift, rolled,
-                        prod[:n_b], mag[:n_b], peak[:n_b], k_best[:n_b], better[:n_b])
+            _bin_maxima(x_spec, spectra[n2], bin_shift, rolled, prod[:n_b], mag[:n_b],
+                        peak[:n_b], k_best[:n_b], better[:n_b])
             denom = mag[:n_b].reshape(-1)[:n]  # free after the kernel
             np.sqrt(np.multiply(window_energy, ref_energy[n2], out=denom), out=denom)
             metric.fill(0.0)
             np.divide(peak[:n_b].reshape(-1)[:n], denom, out=metric, where=denom > 0)
             idx = np.flatnonzero(_kept_lags(metric, threshold))
             kept[n2].append((lo + idx, metric[idx], k_best[:n_b].reshape(-1)[idx]))
-    return [tuple(np.concatenate(parts) for parts in zip(*runs)) for runs in kept]
+    return kept
 
 
 @lru_cache(maxsize=32)
@@ -480,16 +458,13 @@ def detect_pss(
         )
     n_lags = x.size - length + 1
     candidates: list[PssCandidate] = []
-    for n2, (lags, metric, k_best) in enumerate(_pss_scan(x, params, threshold)):
-        # sentinels either side, so maxima at the capture edges are still
-        # local peaks
-        for i in _find_peaks(
-            np.concatenate(([-1.0], metric, [-1.0])),
-            np.concatenate(([-1], lags, [n_lags])),
-            threshold,
-            length,
-        ):
-            lag, k = int(lags[i - 1]), int(k_best[i - 1])
+    for n2, runs in enumerate(_pss_scan(x, params, threshold)):
+        # the runs joined, with sentinels either side, so maxima at the
+        # capture edges are still local peaks
+        lags, metric, k_best = map(np.concatenate, zip(
+            ((-1,), (-1.0,), (0,)), *runs, ((n_lags,), (-1.0,), (0,))))
+        for i in _find_peaks(metric, lags, threshold, length):
+            lag, k = int(lags[i]), int(k_best[i])
             frac = _fractional_cfo(
                 x[lag:lag + length], _bin_replica(params, n2, k), params.fft_size
             )
@@ -498,7 +473,7 @@ def detect_pss(
                     n2=n2,
                     timing=lag,
                     cfo=(k + frac) * params.scs,
-                    metric=float(metric[i - 1]),
+                    metric=float(metric[i]),
                 )
             )
     candidates.sort(key=lambda c: (c.timing, -c.metric, c.n2))

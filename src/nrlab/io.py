@@ -47,16 +47,11 @@ def write_capture(
         raise ValueError(f"capture {path} overflows float32 at scale {capture.scale!r}")
     Path(path).write_bytes(samples.tobytes())
 
-    sidecar = dict(extra or {})
-    sidecar["sample_rate_hz"] = capture.sample_rate
-    sidecar["center_freq_hz"] = capture.center_freq
-    sidecar["scale"] = capture.scale
-    sidecar["created_by"] = created_by
+    sidecar = {**(extra or {}), "sample_rate_hz": capture.sample_rate, "scale": capture.scale,
+               "center_freq_hz": capture.center_freq, "created_by": created_by}
     if seed is not None:
         sidecar["seed"] = seed
-    sidecar_path(path).write_text(
-        json.dumps(sidecar, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_json(sidecar_path(path), sidecar, round_db=False)
 
 
 def _validate_sidecar(raw: dict) -> dict:
@@ -71,7 +66,7 @@ def _validate_sidecar(raw: dict) -> dict:
         raise ValueError("sidecar missing required key 'created_by'")
     if not isinstance(raw["created_by"], str):
         raise ValueError("sidecar key 'created_by' must be a string")
-    if "seed" in raw and not isinstance(raw["seed"], int):
+    if "seed" in raw and type(raw["seed"]) is not int:  # a bool is not a seed
         raise ValueError("sidecar key 'seed' must be an integer")
     return raw
 
@@ -229,21 +224,28 @@ def read_geometry(path) -> tuple[np.ndarray, AntennaPattern | None]:
 def write_geometry(path, elements: np.ndarray, pattern: AntennaPattern | None = None) -> None:
     payload: dict = {"elements": np.asarray(elements, dtype=float).tolist()}
     if pattern is not None:
+        nulls = pattern.angles_deg[pattern.gain == 0]
+        if nulls.size:
+            raise ValueError(f"pattern gain is 0 at {float(nulls[0])!r} deg: the geometry "
+                             "format holds gains in dB, which cannot express a null")
         payload["pattern"] = [
             [float(a), 20.0 * math.log10(abs(g)), math.degrees(math.atan2(g.imag, g.real))]
             for a, g in zip(pattern.angles_deg, pattern.gain)
         ]
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    _write_json(path, payload, round_db=False)
 
 
 def write_report(path, payload: dict) -> None:
-    """Write a strict-JSON report: arrays are written as lists and complex
-    values as [re, im] pairs, dB-suffixed values are rounded to 2 decimals
-    and non-finite floats are written as null."""
+    """Write a strict-JSON report (see _json_value); measured values under a
+    `_db` key are rounded to 2 decimals, the `config` echo holds what ran."""
+    _write_json(path, payload, round_db=True)
+
+
+def _write_json(path, payload: dict, round_db: bool) -> None:
+    """Write `payload` as indented, key-sorted strict JSON (see _json_value)."""
     Path(path).write_text(
-        json.dumps(_report_value(payload), indent=2, sort_keys=True, allow_nan=False) + "\n",
-        encoding="utf-8",
-    )
+        json.dumps(_json_value(payload, round_db), indent=2, sort_keys=True, allow_nan=False)
+        + "\n", encoding="utf-8")
 
 
 def _reject_constant(constant: str):
@@ -377,17 +379,21 @@ def read_detection_report(path) -> DetectionResult:
     return DetectionResult(cell_id=cell_id, bursts=read, cfo=cfo, cell_id_conflict=conflict)
 
 
-def _report_value(value, is_db: bool = False):
+def _json_value(value, round_db: bool, is_db: bool = False):
+    """`value` in strict JSON types: arrays as lists, complex values as
+    [re, im] pairs, non-finite floats as None. With `round_db`, floats under
+    a `_db` key are rounded to 2 decimals, except under a `config` key."""
     if isinstance(value, dict):
-        return {k: _report_value(v, is_db or k.endswith("_db")) for k, v in value.items()}
+        return {k: _json_value(v, round_db and k != "config", is_db or k.endswith("_db"))
+                for k, v in value.items()}
     if isinstance(value, np.ndarray):
         value = value.tolist()
     if isinstance(value, complex):
         value = [value.real, value.imag]
     if isinstance(value, (list, tuple)):
-        return [_report_value(v, is_db) for v in value]
+        return [_json_value(v, round_db, is_db) for v in value]
     if isinstance(value, float):
         if not math.isfinite(value):
             return None
-        return round(value, 2) if is_db else value
+        return round(value, 2) if round_db and is_db else value
     return value

@@ -197,8 +197,10 @@ class IqCapture:
         self.samples = np.asarray(self.samples, dtype=np.complex128)
         if self.samples.ndim != 1:
             raise ValueError(f"samples must be 1-D, got shape {self.samples.shape}")
-        if not self.sample_rate > 0:
-            raise ValueError(f"sample_rate must be > 0, got {self.sample_rate}")
+        if not 0 < self.sample_rate < np.inf:
+            raise ValueError(f"sample_rate must be finite and > 0, got {self.sample_rate}")
+        if not abs(self.center_freq) < np.inf:
+            raise ValueError(f"center_freq must be finite, got {self.center_freq}")
         if not 0 < self.scale < np.inf:
             raise ValueError(f"scale must be finite and > 0, got {self.scale}")
         parts = self.samples[:, None].view(np.float64)  # (n, 2) re/im, no copy

@@ -1,4 +1,4 @@
-"""Seeded CLI reports and chamber jobs pinned in reports.json, and the
+"""Seeded CLI reports, chamber jobs and SSB jobs pinned in reports.json, and the
 script that rewrites it.
 
     PYTHONPATH=src python tests/golden/regen.py
@@ -10,9 +10,11 @@ produce to reports.json, next to this file, with the directory replaced by
 their SHA-256 digests, their parsed dB cells, the AoA peak cell and the
 number of masked AoA rows. The `chamber` entry holds two seeded library-level
 chamber jobs (see chamber_job): digests of the AoA map, the PDPs and the
-faded capture, and the values a check reads off them. tests/test_golden.py
-runs the same commands and jobs and compares. Rewrite the file only for a
-change that is meant to move a report.
+faded capture, and the values a check reads off them. The `ssb` entry holds
+six seeded dense and six sparse noisy library-level SSB jobs (see ssb_job):
+the cell, burst timings, SSB indices, the three metrics, the CFO and the
+per-class powers. tests/test_golden.py runs the same commands and jobs and
+compares. Rewrite the file only for a change that is meant to move a report.
 """
 from __future__ import annotations
 
@@ -117,6 +119,12 @@ def _digest(array: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
 
 
+def _energy(z: np.ndarray) -> float:
+    """sum |z|^2 by numpy's own reduction: np.vdot's last bit depends on
+    the number of threads OpenBLAS runs, which follows the usable CPUs."""
+    return float(np.sum(z.real ** 2 + z.imag ** 2))
+
+
 def chamber_job(seed: int) -> dict:
     """One seeded chamber job through the library: pilot-compensated sweeps
     to PDPs and a de-embedded AoA map, a wireless-cable calibration, and an
@@ -181,12 +189,64 @@ def chamber_job(seed: int) -> dict:
         "rc_peak_bin": int(np.argmax(np.abs(corrected.taps))),
         "faded_sha256": _digest(faded),
         "faded_samples": int(faded.size),
-        "faded_energy": float(np.vdot(faded, faded).real),
+        "faded_energy": _energy(faded),
     }
 
 
 def run_chamber_jobs() -> list[dict]:
     return [chamber_job(seed) for seed in CHAMBER_SEEDS]
+
+
+# ssb: seeded jobs shaped as the benchmark's SSB workloads, dense (32
+# noiseless bursts 1200 samples apart) and sparse (2 bursts at the 20 ms
+# period, 0 dB SNR, a CFO of at most 0.3 SCS).
+SSB_SEEDS = (1, 2, 3, 4, 5, 6)
+DENSE_BURSTS, DENSE_PERIOD = 32, 1200
+SPARSE_BURSTS, SPARSE_PERIOD = 2, 153_600
+SPARSE_MAX_CFO_SCS = 0.3
+SSB_TAIL = 1000
+
+
+def ssb_job(seed: int, sparse: bool) -> dict:
+    """One seeded SSB job through the library: synthesize_bursts, then for a
+    sparse job a CFO and noise, enumerate_ssb_bursts and measure_exposure."""
+    from nrlab import detector, exposure, otasim, waveform
+    from nrlab.types import N_SSB_SYMBOLS, CellId, IqCapture, OfdmParams, SsbConfig
+
+    params = OfdmParams()
+    rng = np.random.default_rng([7907, seed, sparse])
+    n_bursts, period = (SPARSE_BURSTS, SPARSE_PERIOD) if sparse else (DENSE_BURSTS, DENSE_PERIOD)
+    cfg = SsbConfig(cell_id=CellId.from_cell(int(rng.integers(0, 1008))),
+                    i_ssb_bar=int(rng.integers(0, 8)), burst_count=n_bursts,
+                    burst_period=period)
+    capture = waveform.synthesize_bursts(cfg, params, lead_in=int(rng.integers(100, 1100)),
+                                         tail=SSB_TAIL)
+    if sparse:
+        x = capture.samples
+        power = _energy(x) / (n_bursts * N_SSB_SYMBOLS * params.symbol_len)
+        cfo = rng.uniform(-SPARSE_MAX_CFO_SCS, SPARSE_MAX_CFO_SCS) * params.scs
+        rotated = x * np.exp(2j * np.pi * cfo / params.sample_rate * np.arange(x.size))
+        capture = otasim.awgn(IqCapture(rotated, params.sample_rate), power,
+                              rng=int(rng.integers(0, 2**31)))
+    result = detector.enumerate_ssb_bursts(capture, params)
+    report = exposure.measure_exposure(capture, result, params, n_re_total=240, duty=1.0,
+                                       mode="conducted")
+    return {
+        "cell": result.cell_id.cell,
+        "cell_id_conflict": result.cell_id_conflict,
+        "cfo_hz": result.cfo,
+        "timings": [b.timing for b in result.bursts],
+        "i_ssb_bar": [b.i_ssb_bar for b in result.bursts],
+        "pss_metric": [b.pss_metric for b in result.bursts],
+        "sss_metric": [b.sss_metric for b in result.bursts],
+        "dmrs_metric": [b.dmrs_metric for b in result.bursts],
+        "per_signal_re_power": report.per_signal_re_power,
+    }
+
+
+def run_ssb_jobs() -> dict:
+    return {name: [ssb_job(seed, sparse) for seed in SSB_SEEDS]
+            for name, sparse in (("dense", False), ("sparse", True))}
 
 
 def _normalized(value, tmp: str):
@@ -271,7 +331,7 @@ def platform_fingerprint() -> dict:
 
 def main() -> None:
     golden = {"platform": platform_fingerprint(), "reports": run_commands(),
-              "chamber": run_chamber_jobs()}
+              "chamber": run_chamber_jobs(), "ssb": run_ssb_jobs()}
     GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {GOLDEN} ({GOLDEN.stat().st_size} bytes)", file=sys.stderr)
 

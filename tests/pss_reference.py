@@ -19,9 +19,8 @@ from nrlab.detector import (
     PssCandidate,
     _find_peaks,
     _fractional_cfo,
-    _pss_replica_spectra,
     _pss_replicas,
-    _scan_block_len,
+    _scan_tables,
 )
 
 
@@ -53,7 +52,7 @@ def allocating_pss_scan(x, params, max_cfo_bins):
     window_energy = csum[length:] - csum[:-length]
     n_lags = x.size - length + 1
 
-    block = _scan_block_len(params)
+    block, spectra = _scan_tables(params)[:2]
     step = block - length + 1
     n_blocks = -(-n_lags // step)
     padded = np.zeros((n_blocks - 1) * step + block, dtype=np.complex128)
@@ -62,7 +61,7 @@ def allocating_pss_scan(x, params, max_cfo_bins):
     x_spec = np.fft.fft(blocks, axis=1)
     bin_shift = block // params.fft_size
 
-    for base, spectrum in zip(_pss_replicas(params), _pss_replica_spectra(params)):
+    for base, spectrum in zip(_pss_replicas(params), spectra):
         denom = np.sqrt(window_energy * float(np.sum(np.abs(base) ** 2)))
         peak_corr = np.zeros(n_lags)
         k_best = np.zeros(n_lags, dtype=np.int64)

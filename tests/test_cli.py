@@ -60,6 +60,12 @@ class TestGenerate:
             ) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
 
+    def test_infinite_snr_sidecar_is_read_back(self, tmp_path):
+        path = tmp_path / "clean.iq"
+        assert run("generate", "--out", path, "--snr-db", "inf", "--seed", 2) == EXIT_OK
+        assert read_sidecar(path)["generator_config"]["snr_db"] is None
+        assert run("detect", "--in", path, "--out", tmp_path / "det.json") == EXIT_OK
+
     def test_sidecar_metadata(self, tmp_path, cell3_capture):
         sidecar = read_sidecar(cell3_capture)
         assert sidecar["sample_rate_hz"] == pytest.approx(256 * 30e3)
@@ -410,6 +416,15 @@ class TestOtasim:
         report = read_json_object(out, "report")
         assert report["isolation_db"] >= 30.0
         assert len(report["estimated_matrix"]) == 4
+
+    def test_config_echo_holds_the_values_that_ran(self, tmp_path):
+        # only measured dB values are rounded; the echo replays the run
+        out = tmp_path / "wc.json"
+        assert run("otasim", "wireless-cable", "--ports", 4, "--seed", 3,
+                   "--snr-db", 12.345, "--out", out) == EXIT_OK
+        report = read_json_object(out, "report")
+        assert report["config"]["snr_db"] == 12.345
+        assert report["isolation_db"] == round(report["isolation_db"], 2)
 
     def test_rc_seed_determinism(self, tmp_path):
         out = tmp_path / "rc.json"

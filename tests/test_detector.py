@@ -31,11 +31,10 @@ from nrlab.detector import (
     _find_peaks,
     _fractional_cfo,
     _kept_lags,
-    _pss_replica_spectra,
+    _load_blocks,
     _pss_replicas,
-    _scan_block_len,
+    _scan_tables,
     _screen_bounds,
-    _screen_spectra,
     _sss_bank,
     _sss_from_grid,
 )
@@ -115,7 +114,7 @@ class TestDetectPss:
         # last block of the 157 000-sample one reaches past the capture, and
         # is zero-padded inside the scan's buffers instead of in a copy of
         # its group's span.
-        block = _scan_block_len(params)
+        block = _scan_tables(params)[0]
         step = block - params.symbol_len + 1
         peaks = []
         for n, whole_groups in ((170_673, True), (157_000, False)):
@@ -310,7 +309,8 @@ def screen_error_ratio(capture, params):
     blocks = capture_blocks(capture.samples, params)
     block, step = scan_block_geometry(params)
     bin_shift = block // params.fft_size
-    delta = _screen_bounds(blocks, params)
+    _, spectra, spectra32, spectra_peak, _ = _scan_tables(params)
+    delta = _screen_bounds(blocks, spectra_peak)
     x_spec = np.fft.fft(blocks, axis=1)
     x32 = np.fft.fft(blocks.astype(np.complex64), axis=1, norm="forward")
     rolled = np.empty(block, dtype=np.complex64)
@@ -318,8 +318,7 @@ def screen_error_ratio(capture, params):
     mag = np.empty((blocks.shape[0], step), dtype=np.float32)
     screened = np.empty_like(mag)
     ratio = 0.0
-    spectra = zip(_screen_spectra(params)[0], _pss_replica_spectra(params))
-    for n2, (spectrum32, spectrum) in enumerate(spectra):
+    for n2, (spectrum32, spectrum) in enumerate(zip(spectra32, spectra)):
         _bin_maxima(x32, spectrum32, bin_shift, rolled, prod, mag, screened)
         exact = np.zeros(mag.shape)
         for k in range(-MAX_CFO_BINS, MAX_CFO_BINS + 1):
@@ -403,7 +402,7 @@ class TestScreenedScan:
         p512 = OfdmParams(fft_size=512, cp_len=36)
         capture = planted_bursts(p512, [(40, 3000, 1.0), (41, 9000, 1e-4)], 16_000,
                                  cfo_bins=0.3, snr_db=20.0, seed=1)
-        assert _scan_block_len(p512) == 4096
+        assert _scan_tables(p512)[0] == 4096
         assert screen_error_ratio(capture, p512) <= 1 / 8
 
 
@@ -424,6 +423,28 @@ class TestBinMaxima:
                     peak, k_best, np.empty(peak.shape, dtype=bool))
         assert_array_equal(k_best, -MAX_CFO_BINS)
         assert peak.tobytes() == np.abs(np.fft.ifft(x_spec, axis=1)[:, :step]).tobytes()
+
+
+class TestLoadBlocks:
+    """Each row is the capture's block at its hop, zero-padded past the end,
+    as in a whole-capture zero-padded copy."""
+
+    @pytest.mark.parametrize("n, start", [
+        (2000, 100),  # every row inside the capture
+        (1700, 100),  # the last row reaches past the capture
+        (1100, 0),    # the last row starts past the capture
+    ])
+    def test_rows_equal_zero_padded_reference(self, n, start):
+        block, step, rows = 512, 400, 4
+        end = start + (rows - 1) * step
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        padded = np.zeros(n + end + block, dtype=np.complex128)
+        padded[:n] = x
+        want = np.lib.stride_tricks.sliding_window_view(padded[start:], block)[::step][:rows]
+        out = np.full((rows, block), np.nan, dtype=np.complex128)
+        _load_blocks(out, x, start, step)
+        assert out.tobytes() == want.tobytes()
 
 
 class TestInPlaceFft:

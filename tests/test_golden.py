@@ -1,4 +1,4 @@
-"""The seeded CLI reports and chamber jobs of tests/golden/regen.py against
+"""The seeded CLI reports, chamber jobs and SSB jobs of tests/golden/regen.py against
 tests/golden/reports.json.
 
 Keys, ints, strings, bools and nulls must match exactly. Where the platform
@@ -17,7 +17,13 @@ import math
 import numpy as np
 import pytest
 
-from golden.regen import GOLDEN, platform_fingerprint, run_chamber_jobs, run_commands
+from golden.regen import (
+    GOLDEN,
+    platform_fingerprint,
+    run_chamber_jobs,
+    run_commands,
+    run_ssb_jobs,
+)
 
 REL_TOL = 1e-9
 DB_TOL = 0.011
@@ -61,6 +67,25 @@ def test_chamber_jobs_match_golden(golden):
     # passes ran on worker threads; their bytes must not depend on that
     exact = golden["platform"] == platform_fingerprint()
     assert mismatches(run_chamber_jobs(), golden["chamber"], exact) == []
+
+
+def test_ssb_jobs_match_golden(golden):
+    # the candidates, CFOs and powers were pinned before the PSS scan read
+    # each scan group from one zero-padded block load
+    exact = golden["platform"] == platform_fingerprint()
+    assert mismatches(run_ssb_jobs(), golden["ssb"], exact) == []
+
+
+def test_ssb_comparison_catches_one_bit(golden):
+    want = golden["ssb"]
+    cfo = copy.deepcopy(want)
+    cfo["sparse"][2]["cfo_hz"] = float(np.nextafter(want["sparse"][2]["cfo_hz"], np.inf))
+    power = copy.deepcopy(want)
+    powers = power["dense"][4]["per_signal_re_power"]
+    powers["dmrs"] = float(np.nextafter(powers["dmrs"], np.inf))
+    for got, path in ((cfo, "/sparse/2/cfo_hz"), (power, "/dense/4/per_signal_re_power/dmrs")):
+        assert [m.split(":")[0] for m in mismatches(got, want, exact=True)] == [path]
+        assert mismatches(got, want, exact=False) == []
 
 
 def test_golden_file_stays_small():

@@ -72,6 +72,7 @@ class TestCaptureFiles:
             (lambda d: d.update(scale="wide"), "scale"),
             (lambda d: d.update(created_by=3), "created_by"),
             (lambda d: d.update(seed="abc"), "seed"),
+            (lambda d: d.update(seed=True), "'seed' must be an integer"),
         ],
     )
     def test_field_level_sidecar_errors(self, tmp_path, mutate, message):
@@ -92,6 +93,15 @@ class TestCaptureFiles:
         assert back["operator"] == "bench-2"
         assert back["run"] == 17
         assert back["seed"] == 99
+
+    def test_sidecar_bytes(self, tmp_path):
+        # sorted keys, 2-space indent, floats in full; a non-finite extra is null
+        path = tmp_path / "cap.iq"
+        write_capture(path, sample_capture(), seed=3, extra={"snr_db": 12.345, "gain": np.inf})
+        want = {"center_freq_hz": 3.5e9, "created_by": "nrlab", "gain": None,
+                "sample_rate_hz": 7.68e6, "scale": 0.5, "seed": 3, "snr_db": 12.345}
+        assert sidecar_path(path).read_text() == json.dumps(want, indent=2) + "\n"
+        assert read_sidecar(path) == want
 
     def test_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.iq", tmp_path / "b.iq"
@@ -190,6 +200,21 @@ class TestGeometry:
         back_elements, back_pattern = read_geometry(path)
         assert_allclose(back_elements, elements, atol=0)
         assert_allclose(back_pattern.gain, pattern.gain, atol=1e-12)
+
+    def test_bytes(self, tmp_path):
+        path = tmp_path / "geo.json"
+        pattern = AntennaPattern(angles_deg=np.array([-90.0, 90.0]), gain=np.array([1.0, 1j]))
+        write_geometry(path, np.array([[0.0, 0.5, 0]]), pattern)
+        want = {"elements": [[0.0, 0.5, 0.0]], "pattern": [[-90.0, 0.0, 0.0], [90.0, 0.0, 90.0]]}
+        assert path.read_text() == json.dumps(want, indent=2) + "\n"
+
+    def test_null_in_pattern_rejected(self, tmp_path):
+        path = tmp_path / "geo.json"
+        pattern = AntennaPattern(angles_deg=np.array([-90.0, 0.0, 90.0]),
+                                 gain=np.array([1.0, 0.0, 1.0]))
+        with pytest.raises(ValueError, match=r"gain is 0 at 0\.0 deg.*gains in dB"):
+            write_geometry(path, np.zeros((1, 3)), pattern)
+        assert not path.exists()
 
     def test_positions_only(self, tmp_path):
         path = tmp_path / "geo.json"

@@ -61,6 +61,18 @@ class TestIqCaptureScale:
         assert IqCapture(np.ones(4, dtype=complex), 1e6, scale=1e-30).scale == 1e-30
 
 
+class TestIqCaptureMetadata:
+    @pytest.mark.parametrize("rate", [0.0, -1.0, np.inf, np.nan])
+    def test_non_positive_or_non_finite_sample_rate_rejected(self, rate):
+        with pytest.raises(ValueError, match="sample_rate must be finite and > 0"):
+            IqCapture(np.ones(4, dtype=complex), rate)
+
+    @pytest.mark.parametrize("freq", [np.inf, -np.inf, np.nan])
+    def test_non_finite_center_freq_rejected(self, freq):
+        with pytest.raises(ValueError, match="center_freq must be finite"):
+            IqCapture(np.ones(4, dtype=complex), 1e6, center_freq=freq)
+
+
 @pytest.fixture
 def started(monkeypatch):
     """The threads started while the test runs."""
