@@ -54,8 +54,7 @@ class Opt:
 
 _OFDM = (
     Opt("mu", int, 1, "numerology (SCS = 15*2^mu kHz)"),
-    Opt("fft_size", int, 256, "FFT size"),
-    Opt("cp_len", int, 18, "cyclic-prefix length in samples"),
+    Opt("fft_size", int, 256, "FFT size; the CP is NR's normal CP at this size"),
 )
 _SEED = Opt("seed", int, 0, "random seed")
 
@@ -164,25 +163,21 @@ def _check_writable(path) -> None:
         raise ValueError(f"output directory does not exist: {parent}")
 
 
-def _ofdm_params(cfg: dict) -> OfdmParams:
-    from .types import OfdmParams
-
-    return OfdmParams(mu=cfg["mu"], fft_size=cfg["fft_size"], cp_len=cfg["cp_len"])
-
-
-def _read_capture_at(path, params: OfdmParams) -> IqCapture:
-    """Read a capture whose sidecar rate must match the numerology's rate."""
+def _read_capture_at(path, cfg: dict) -> tuple[IqCapture, OfdmParams]:
+    """Read a capture, and the numerology of cfg whose rate its sidecar must match."""
     from .detector import _check_sample_rate
     from .io import read_capture
+    from .types import OfdmParams
 
+    params = OfdmParams(mu=cfg["mu"], fft_size=cfg["fft_size"])
     capture, _ = read_capture(path)
     _check_sample_rate(capture, params)
-    return capture
+    return capture, params
 
 
 def cmd_generate(cfg: dict) -> int:
     from .io import write_capture
-    from .types import CellId, SsbConfig
+    from .types import CellId, OfdmParams, SsbConfig
     from .waveform import ssb_waveform, synthesize_bursts
 
     _check_writable(cfg["out"])
@@ -194,7 +189,7 @@ def cmd_generate(cfg: dict) -> int:
         cell_id = CellId.from_cell(cfg["cell"])
     cfg.update(asdict(cell_id), cell=cell_id.cell)
 
-    params = _ofdm_params(cfg)
+    params = OfdmParams(mu=cfg["mu"], fft_size=cfg["fft_size"])
     ssb_cfg = SsbConfig(
         cell_id=cell_id,
         i_ssb_bar=cfg["i_ssb"],
@@ -228,8 +223,7 @@ def cmd_detect(cfg: dict) -> int:
     from .detector import enumerate_ssb_bursts
     from .io import write_detection_report
 
-    params = _ofdm_params(cfg)
-    capture = _read_capture_at(cfg["input"], params)
+    capture, params = _read_capture_at(cfg["input"], cfg)
     result = enumerate_ssb_bursts(capture, params, threshold=cfg["threshold"])
     cfg["out"] = cfg["out"] or cfg["input"] + ".detection.json"
     _check_writable(cfg["out"])
@@ -252,8 +246,7 @@ def cmd_exposure(cfg: dict) -> int:
     from .exposure import measure_exposure
     from .io import read_detection_report, write_report
 
-    params = _ofdm_params(cfg)
-    capture = _read_capture_at(cfg["capture"], params)
+    capture, params = _read_capture_at(cfg["capture"], cfg)
     detection = read_detection_report(cfg["detection"])
     if not detection.bursts:
         LOG.info("detection report holds no bursts; nothing to measure")

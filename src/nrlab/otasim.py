@@ -143,6 +143,8 @@ def sound_rsrp(
         raise ValueError(
             f"weight vector length {w.shape} does not match {a.n_ports} ports"
         )
+    if noise_db is not None and not np.isfinite(noise_db):
+        raise ValueError(f"noise_db must be finite or None, got {noise_db}")
     y = a.a @ w
     if noise_db is not None:
         gen = np.random.default_rng(rng)
@@ -353,8 +355,8 @@ def awgn(capture: IqCapture, noise_power: float, rng=None) -> IqCapture:
     The noise is drawn, scaled and summed in the one output array: real
     parts first, then imaginary parts, from the same generator.
     """
-    if noise_power < 0:
-        raise ValueError(f"noise_power must be >= 0, got {noise_power}")
+    if not (np.isfinite(noise_power) and noise_power >= 0):
+        raise ValueError(f"noise_power must be finite and >= 0, got {noise_power}")
     gen = np.random.default_rng(rng)
     n = capture.samples.size
     out = np.empty(n, dtype=np.complex128)

@@ -120,19 +120,23 @@ class CellId:
 
 @dataclass(frozen=True)
 class OfdmParams:
-    """CP-OFDM numerology: subcarrier spacing 15*2**mu kHz, transform size, CP length."""
+    """CP-OFDM numerology: subcarrier spacing 15*2**mu kHz, transform size and CP
+    length, by default the normal CP of every SSB symbol, 144*fft_size/2048 (TS
+    38.211 §5.3.1), set when built: dataclasses.replace(p, fft_size=n) keeps it."""
 
     mu: int = 1
     fft_size: int = 256
-    cp_len: int = 18
+    cp_len: int | None = None
 
     def __post_init__(self):
         if self.mu < 0:
             raise ValueError(f"mu must be >= 0, got {self.mu}")
         if self.fft_size < 1 or self.fft_size & (self.fft_size - 1):
             raise ValueError(f"fft_size must be a power of two, got {self.fft_size}")
-        if self.cp_len < 0:
-            raise ValueError(f"cp_len must be >= 0, got {self.cp_len}")
+        if self.cp_len is None:
+            object.__setattr__(self, "cp_len", 144 * self.fft_size // 2048)
+        if not 0 <= self.cp_len <= self.fft_size:
+            raise ValueError(f"cp_len must be in 0..fft_size {self.fft_size}, got {self.cp_len}")
 
     @property
     def scs(self) -> float:

@@ -184,7 +184,14 @@ def synthesize_bursts(
     (cfg.i_ssb_bar + k) mod l_max, so an 8-burst set starting at index 0
     walks through all eight indices. Each distinct SSB index is modulated
     once per call and copied into every burst that carries it.
+
+    Raises:
+        ValueError: lead_in or tail is negative, or burst_period is shorter
+            than one SSB.
     """
+    for name, value in (("lead_in", lead_in), ("tail", tail)):
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0 samples, got {value}")
     ssb_len = N_SSB_SYMBOLS * params.symbol_len
     if cfg.burst_count > 1 and cfg.burst_period < ssb_len:
         raise ValueError(

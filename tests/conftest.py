@@ -3,10 +3,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from nrlab import CellId, OfdmParams, SsbConfig, awgn, ssb_waveform, synthesize_bursts
+
+# `pytest --hypothesis-profile=ci` draws the same examples on every run, so a
+# failure in CI replays locally with the same flag. Each test keeps its own
+# max_examples.
+settings.register_profile("ci", settings.get_profile("default"), derandomize=True,
+                          print_blob=True)
 
 
 @pytest.fixture(scope="session")

@@ -13,8 +13,10 @@ chamber jobs (see chamber_job): digests of the AoA map, the PDPs and the
 faded capture, and the values a check reads off them. The `ssb` entry holds
 six seeded dense and six sparse noisy library-level SSB jobs (see ssb_job):
 the cell, burst timings, SSB indices, the three metrics, the CFO and the
-per-class powers. tests/test_golden.py runs the same commands and jobs and
-compares. Rewrite the file only for a change that is meant to move a report.
+per-class powers. The `exit_codes` entry of `reports` holds each command
+line with its exit code, those of four usage and input errors included.
+tests/test_golden.py runs the same commands and jobs and compares. Rewrite
+the file only for a change that is meant to move a report.
 """
 from __future__ import annotations
 
@@ -34,7 +36,9 @@ TMP = "<tmp>"
 SCAN_ELEMENTS = 8
 SCAN_POINTS = 31
 
-# (report file, nrlab command line); "{tmp}" is the working directory.
+# (report file, nrlab command line); "{tmp}" is the working directory. The
+# exit code of each command is pinned too; the last four are a usage error
+# and three input errors.
 COMMANDS = (
     (None, ["generate", "--out", "{tmp}/cap.iq", "--cell", "212", "--bursts", "4",
             "--i-ssb", "2", "--snr-db", "10", "--seed", "5"]),
@@ -50,6 +54,14 @@ COMMANDS = (
     ("sound", ["sound", "--in", *(f"{{tmp}}/el{m}.csv" for m in range(SCAN_ELEMENTS)),
                "--aoa", "--deembed", "--geometry", "{tmp}/array.json", "--pad", "2",
                "--angle-step", "4", "--out", "{tmp}/pdp.csv", "--aoa-out", "{tmp}/aoa.csv"]),
+    (None, ["detect", "--in", "{tmp}/cap.iq", "--cp-len", "20", "--out", "{tmp}/error.json"]),
+    (None, ["exposure", "--capture", "{tmp}/cap.iq", "--detection", "{tmp}/detection.json",
+            "--coverage-k", "0", "--out", "{tmp}/error.json"]),
+    (None, ["sound", "--in", *(f"{{tmp}}/el{m}.csv" for m in range(SCAN_ELEMENTS)),
+            "--aoa", "--geometry", "{tmp}/array.json", "--angle-step", "0",
+            "--out", "{tmp}/error.csv", "--aoa-out", "{tmp}/error_aoa.csv"]),
+    (None, ["exposure", "--capture", "{tmp}/cap.iq", "--detection", "{tmp}/bad_detection.json",
+            "--out", "{tmp}/error.json"]),
 )
 
 
@@ -81,6 +93,14 @@ def write_scan(tmp: str) -> None:
         write_sweep_csv(Path(tmp, f"el{m}.csv"),
                         FrequencySweep(freqs=freqs, h=h * drift, pilot=drift))
     write_geometry(Path(tmp, "array.json"), np.stack([x, 0 * x, 0 * x], axis=1), pattern)
+
+
+def write_bad_detection(tmp: str) -> None:
+    """The detection report of `detect` with one bad field: a negative
+    timing of its second burst."""
+    report = json.loads(Path(tmp, "detection.json").read_text(encoding="utf-8"))
+    report["bursts"][1]["timing_sample"] = -5
+    Path(tmp, "bad_detection.json").write_text(json.dumps(report), encoding="utf-8")
 
 
 def _csv_db_cells(path: Path) -> list[list[float | None]]:
@@ -260,21 +280,27 @@ def _normalized(value, tmp: str):
 
 
 def run_commands() -> dict:
-    """Run COMMANDS in a fresh directory; the reports they write, by file name."""
+    """Run COMMANDS in a fresh directory; the reports that they write, by file
+    name, and under "exit_codes" each command line with its exit code."""
     from nrlab.cli import EXIT_OK, main
 
     reports = {}
+    exit_codes = []
     with tempfile.TemporaryDirectory() as tmp:
         write_scan(tmp)
         for name, argv in COMMANDS:
             code = main([arg.replace("{tmp}", tmp) for arg in argv])
-            if code != EXIT_OK:
-                raise RuntimeError(f"nrlab {' '.join(argv)} exited {code}")
+            exit_codes.append([" ".join(["nrlab", *argv]).replace("{tmp}", TMP), code])
+            if name is None or code != EXIT_OK:
+                continue  # a report that is missing shows as a missing key
             if name == "sound":
                 reports[name] = sound_outputs(tmp)
-            elif name is not None:
+            else:
                 report = json.loads(Path(tmp, name).read_text(encoding="utf-8"))
                 reports[name] = _normalized(report, tmp)
+            if name == "detection.json":
+                write_bad_detection(tmp)
+    reports["exit_codes"] = exit_codes
     return reports
 
 

@@ -82,6 +82,36 @@ class TestGenerate:
     def test_unwritable_path_fails(self, tmp_path):
         assert run("generate", "--out", tmp_path / "nope" / "x.iq") == EXIT_ERROR
 
+    @pytest.mark.parametrize("flag", ["--lead-in", "--tail"])
+    @pytest.mark.parametrize("value", [-100, -3000])
+    def test_negative_padding_exit_1(self, tmp_path, capsys, flag, value):
+        path = tmp_path / "x.iq"
+        assert run("generate", "--out", path, flag, value) == EXIT_ERROR
+        name = flag[2:].replace("-", "_")
+        assert f"error: {name} must be >= 0 samples, got {value}" in capsys.readouterr().err
+        assert not path.exists()
+
+    def test_nan_snr_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "x.iq"
+        assert run("generate", "--out", path, "--snr-db", "nan") == EXIT_ERROR
+        assert "error: noise_power must be finite and >= 0, got nan" in capsys.readouterr().err
+        assert not path.exists()
+
+    @pytest.mark.parametrize("fft_size", [512, 1024, 2048])
+    def test_round_trip_at_wider_fft(self, tmp_path, fft_size):
+        # No CP is given: both commands use NR's normal CP at this FFT size.
+        path, det = tmp_path / "wide.iq", tmp_path / "det.json"
+        period = 5480 * fft_size // 256
+        assert run("generate", "--out", path, "--fft-size", fft_size, "--cell", 123,
+                   "--bursts", 4, "--burst-period", period, "--snr-db", 10,
+                   "--seed", 1) == EXIT_OK
+        assert run("detect", "--in", path, "--fft-size", fft_size, "--out", det) == EXIT_OK
+        report = read_json_object(det, "report")
+        assert report["cell_id"]["cell"] == 123 and report["cell_id_conflict"] is False
+        timings = [b["timing_sample"] for b in report["bursts"]]
+        assert len(timings) == 4
+        assert np.abs(np.subtract(timings, 1000 + period * np.arange(4))).max() <= 1
+
 
 class TestDetect:
     def test_noise_only_exit_2(self, tmp_path):
@@ -518,6 +548,26 @@ class TestUsage:
     @pytest.mark.parametrize("argv", [("--help",), ("--version",), ("detect", "--help")])
     def test_help_and_version_exit_0(self, argv):
         assert run(*argv) == EXIT_OK
+
+    def test_cp_len_is_not_an_option(self, tmp_path, cell3_capture, capsys):
+        # the CP follows from the FFT size; a wrong one once gave a wrong cell with exit 0
+        det = tmp_path / "det.json"
+        assert run("detect", "--in", cell3_capture, "--out", det) == EXIT_OK
+        for argv in (("generate", "--out", tmp_path / "x.iq"),
+                     ("detect", "--in", cell3_capture, "--out", tmp_path / "d.json"),
+                     ("exposure", "--capture", cell3_capture, "--detection", det,
+                      "--out", tmp_path / "e.json")):
+            assert run(*argv, "--cp-len", 20) == EXIT_ERROR
+            assert "unrecognized arguments: --cp-len 20" in capsys.readouterr().err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"cp_len": 18}))
+        assert run("detect", "--in", cell3_capture, "--config", cfg) == EXIT_ERROR
+        assert f"config file {cfg} has unknown keys: cp_len" in capsys.readouterr().err
+        cfg.unlink()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cell3.iq", "cell3.iq.json",
+                                                              "det.json"]
+        assert "cp_len" not in read_sidecar(cell3_capture)["generator_config"]
+        assert "cp_len" not in read_json_object(det, "report")["config"]
 
     def test_detect_rejects_seed(self, tmp_path, cell3_capture):
         assert run("detect", "--in", cell3_capture, "--seed", 1) == EXIT_ERROR

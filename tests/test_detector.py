@@ -19,6 +19,7 @@ from nrlab import (
     gen_sss,
     identify_ssb_index,
     map_ssb,
+    measure_exposure,
     ssb_waveform,
     synthesize_bursts,
 )
@@ -241,7 +242,7 @@ class TestPssScanReference:
         assert assert_matches_reference(capture, params, threshold=0.2)
 
     def test_fft_size_512(self):
-        p512 = OfdmParams(fft_size=512, cp_len=36)
+        p512 = OfdmParams(fft_size=512)
         cfg = SsbConfig(cell_id=CellId.from_cell(77), burst_count=3, burst_period=2600)
         capture = awgn(synthesize_bursts(cfg, p512), 0.05, rng=4)
         assert len(assert_matches_reference(capture, p512)) == 3
@@ -281,7 +282,7 @@ class TestPssScanReference:
     def test_cfo_bins_beyond_int8(self):
         # At a 512-point FFT, a 130-bin CFO keeps the SSB inside the band, so
         # bin 130 wins alone; the winning bin must be held exactly.
-        p512 = OfdmParams(fft_size=512, cp_len=36)
+        p512 = OfdmParams(fft_size=512)
         cfg = SsbConfig(cell_id=CellId.from_cell(40))
         capture = with_cfo(synthesize_bursts(cfg, p512, lead_in=3000, tail=2000),
                            130 * p512.scs)
@@ -399,7 +400,7 @@ class TestScreenedScan:
         assert screen_error_ratio(capture, params) <= 1 / 8
 
     def test_error_within_an_eighth_of_its_bound_at_fft_512(self):
-        p512 = OfdmParams(fft_size=512, cp_len=36)
+        p512 = OfdmParams(fft_size=512)
         capture = planted_bursts(p512, [(40, 3000, 1.0), (41, 9000, 1e-4)], 16_000,
                                  cfo_bins=0.3, snr_db=20.0, seed=1)
         assert _scan_tables(p512)[0] == 4096
@@ -661,6 +662,58 @@ class TestInvariants:
             assert abs(x.dmrs_metric - y.dmrs_metric) < 1e-9
 
 
+def noisy_ssb_capture(cfg, lead_in, cfo_scs, snr_db, seed):
+    """Two SSBs of cfg at the default numerology, turned by a CFO of cfo_scs
+    subcarriers, with noise snr_db below the SSB power."""
+    params = OfdmParams()
+    capture = with_cfo(synthesize_bursts(cfg, params, lead_in=lead_in, tail=300),
+                       cfo_scs * params.scs)
+    ssb_power = float(np.mean(np.abs(ssb_waveform(cfg, params)) ** 2))
+    return awgn(capture, ssb_power * 10.0 ** (-snr_db / 10.0), rng=seed)
+
+
+noisy_ssb_captures = st.builds(
+    lambda cell, i_ssb, lead_in, cfo_scs, snr_db, seed: noisy_ssb_capture(
+        SsbConfig(cell_id=CellId.from_cell(cell), i_ssb_bar=i_ssb, burst_count=2,
+                  burst_period=2200), lead_in, cfo_scs, snr_db, seed),
+    cell=st.integers(0, 1007), i_ssb=st.integers(0, 7), lead_in=st.integers(0, 1000),
+    cfo_scs=st.floats(-0.3, 0.3), snr_db=st.floats(0.0, 20.0), seed=st.integers(0, 2**32 - 1),
+)
+
+
+class TestNoisyCaptureProperties:
+    """Two properties of blind detection on noisy captures, CFO up to 0.3 SCS."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(capture=noisy_ssb_captures, shift=st.integers(0, 5000))
+    def test_leading_zeros_shift_every_timing(self, params, capture, shift):
+        padded = np.concatenate([np.zeros(shift, dtype=np.complex128), capture.samples])
+        a = enumerate_ssb_bursts(capture, params)
+        b = enumerate_ssb_bursts(IqCapture(padded, params.sample_rate), params)
+        assert b.cell_id == a.cell_id
+        assert [x.timing for x in b.bursts] == [x.timing + shift for x in a.bursts]
+
+    @settings(max_examples=40, deadline=None)
+    @given(capture=noisy_ssb_captures, log_scale=st.floats(-6.0, 6.0))
+    def test_scaling_moves_only_the_powers(self, params, capture, log_scale):
+        scale = 10.0 ** log_scale
+        scaled = IqCapture(capture.samples * scale, params.sample_rate)
+        a = enumerate_ssb_bursts(capture, params)
+        b = enumerate_ssb_bursts(scaled, params)
+        assert b.cell_id == a.cell_id
+        assert [(x.timing, x.i_ssb_bar) for x in b.bursts] == [
+            (x.timing, x.i_ssb_bar) for x in a.bursts]
+        if not a.bursts:
+            return
+        want, got = (measure_exposure(c, r, params, n_re_total=240, duty=1.0,
+                                      mode="conducted").per_signal_re_power
+                     for c, r in ((capture, a), (scaled, b)))
+        # Each power moves by 20*log10(scale) dB. The check takes the log of
+        # one ratio near 1, so that rounding a log near 120 dB adds no error.
+        for name in want:
+            assert abs(10.0 * np.log10(got[name] / (want[name] * scale ** 2))) <= 1e-14
+
+
 class TestDemodulateBurst:
     def test_matches_mapped_grid(self, params, burst_capture):
         capture = burst_capture(cell=42, lead_in=250)
@@ -697,7 +750,7 @@ class TestDemodulateBurst:
             demodulate_burst(burst_capture(), 300, cfo, params)
 
     def test_fft_narrower_than_ssb_rejected(self):
-        p128 = OfdmParams(fft_size=128, cp_len=9)
+        p128 = OfdmParams(fft_size=128)
         capture = IqCapture(np.ones(4 * p128.symbol_len), p128.sample_rate)
         with pytest.raises(ValueError, match="smaller than"):
             demodulate_burst(capture, 0, 0.0, p128)

@@ -122,6 +122,15 @@ def test_comparison_catches_one_bit_and_one_sample(golden):
         "/detection.json/bursts/1/timing_sample: 6481 != 6480"]
 
 
+def test_comparison_catches_one_exit_code(golden):
+    want = golden["reports"]
+    assert [code for _, code in want["exit_codes"]] == [0] * 7 + [1] * 4
+    got = copy.deepcopy(want)
+    got["exit_codes"][7][1] = 0  # detect --cp-len 20 accepted
+    for exact in (True, False):
+        assert mismatches(got, want, exact) == ["/exit_codes/7/1: 0 != 1"]
+
+
 def test_tolerances_off_the_writing_platform(golden):
     want = golden["reports"]["exposure.json"]
     got = copy.deepcopy(want)

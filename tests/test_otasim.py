@@ -65,6 +65,11 @@ class TestSoundRsrp:
         r2 = sound_rsrp(a, w, noise_db=20.0, rng=5)
         assert_array_equal(r1, r2)
 
+    @pytest.mark.parametrize("noise_db", [np.nan, np.inf, -np.inf])
+    def test_non_finite_noise_rejected(self, noise_db):
+        with pytest.raises(ValueError, match=f"noise_db must be finite or None, got {noise_db}"):
+            sound_rsrp(TransferMatrix(np.eye(2)), np.ones(2, complex), noise_db=noise_db)
+
 
 class TestEstimateTransferMatrix:
     def test_identity_up_to_row_phase(self):
@@ -512,3 +517,8 @@ class TestAwgn:
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
             awgn(IqCapture(np.ones(4, complex), 1e6), -1.0)
+
+    @pytest.mark.parametrize("power", [np.nan, np.inf])
+    def test_non_finite_power_rejected(self, power):
+        with pytest.raises(ValueError, match=f"noise_power must be finite and >= 0, got {power}"):
+            awgn(IqCapture(np.ones(4, complex), 1e6), power)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nrlab import IqCapture, types
+from nrlab import IqCapture, OfdmParams, types
 from nrlab.types import MAX_WORKERS, _median, _run_slices, _worker_count
 
 
@@ -71,6 +71,24 @@ class TestIqCaptureMetadata:
     def test_non_finite_center_freq_rejected(self, freq):
         with pytest.raises(ValueError, match="center_freq must be finite"):
             IqCapture(np.ones(4, dtype=complex), 1e6, center_freq=freq)
+
+
+class TestOfdmParams:
+    @pytest.mark.parametrize("fft_size, cp_len", [(128, 9), (256, 18), (512, 36),
+                                                  (1024, 72), (2048, 144), (4096, 288)])
+    def test_normal_cp_by_default(self, fft_size, cp_len):
+        assert OfdmParams(fft_size=fft_size).cp_len == cp_len
+
+    @pytest.mark.parametrize("cp_len", [0, 256])
+    def test_explicit_cp_kept(self, cp_len):
+        p = OfdmParams(cp_len=cp_len)
+        assert p.cp_len == cp_len and p.symbol_len == 256 + cp_len
+
+    @pytest.mark.parametrize("cp_len", [-1, 257, 300])
+    def test_cp_outside_the_fft_rejected(self, cp_len):
+        # a CP longer than the symbol body once wrapped round in ofdm_modulate
+        with pytest.raises(ValueError, match=f"cp_len must be in 0..fft_size 256, got {cp_len}"):
+            OfdmParams(cp_len=cp_len)
 
 
 @pytest.fixture
