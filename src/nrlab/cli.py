@@ -17,12 +17,8 @@ import logging
 import sys
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from . import DEFAULT_PSS_THRESHOLD, __version__
-
-if TYPE_CHECKING:
-    from .types import IqCapture, OfdmParams
 
 LOG = logging.getLogger("nrlab")
 
@@ -61,8 +57,6 @@ _SEED = Opt("seed", int, 0, "random seed")
 GENERATE_OPTIONS = (
     *_OFDM,
     Opt("cell", int, 0, "cell identity 0..1007"),
-    Opt("n1", int, None, "SSS group index (with --n2)"),
-    Opt("n2", int, None, "PSS sector index (with --n1)"),
     Opt("i_ssb", int, 0, "first SSB index"),
     Opt("l_max", int, 8, "SSB indices per half frame", choices=(4, 8)),
     Opt("bursts", int, 1, "number of SSB bursts"),
@@ -163,32 +157,13 @@ def _check_writable(path) -> None:
         raise ValueError(f"output directory does not exist: {parent}")
 
 
-def _read_capture_at(path, cfg: dict) -> tuple[IqCapture, OfdmParams]:
-    """Read a capture, and the numerology of cfg whose rate its sidecar must match."""
-    from .detector import _check_sample_rate
-    from .io import read_capture
-    from .types import OfdmParams
-
-    params = OfdmParams(mu=cfg["mu"], fft_size=cfg["fft_size"])
-    capture, _ = read_capture(path)
-    _check_sample_rate(capture, params)
-    return capture, params
-
-
 def cmd_generate(cfg: dict) -> int:
     from .io import write_capture
     from .types import CellId, OfdmParams, SsbConfig
     from .waveform import ssb_waveform, synthesize_bursts
 
     _check_writable(cfg["out"])
-    if cfg["n1"] is not None or cfg["n2"] is not None:
-        if cfg["n1"] is None or cfg["n2"] is None:
-            raise ValueError("--n1 and --n2 must be given together")
-        cell_id = CellId(n1=cfg["n1"], n2=cfg["n2"])
-    else:
-        cell_id = CellId.from_cell(cfg["cell"])
-    cfg.update(asdict(cell_id), cell=cell_id.cell)
-
+    cell_id = CellId.from_cell(cfg["cell"])
     params = OfdmParams(mu=cfg["mu"], fft_size=cfg["fft_size"])
     ssb_cfg = SsbConfig(
         cell_id=cell_id,
@@ -221,9 +196,11 @@ def cmd_generate(cfg: dict) -> int:
 
 def cmd_detect(cfg: dict) -> int:
     from .detector import enumerate_ssb_bursts
-    from .io import write_detection_report
+    from .io import read_capture, write_detection_report
+    from .types import OfdmParams
 
-    capture, params = _read_capture_at(cfg["input"], cfg)
+    capture, _ = read_capture(cfg["input"])
+    params = OfdmParams(mu=cfg["mu"], fft_size=cfg["fft_size"])
     result = enumerate_ssb_bursts(capture, params, threshold=cfg["threshold"])
     cfg["out"] = cfg["out"] or cfg["input"] + ".detection.json"
     _check_writable(cfg["out"])
@@ -244,9 +221,11 @@ def cmd_exposure(cfg: dict) -> int:
     import numpy as np
 
     from .exposure import measure_exposure
-    from .io import read_detection_report, write_report
+    from .io import read_capture, read_detection_report, write_report
+    from .types import OfdmParams
 
-    capture, params = _read_capture_at(cfg["capture"], cfg)
+    capture, _ = read_capture(cfg["capture"])
+    params = OfdmParams(mu=cfg["mu"], fft_size=cfg["fft_size"])
     detection = read_detection_report(cfg["detection"])
     if not detection.bursts:
         LOG.info("detection report holds no bursts; nothing to measure")

@@ -103,12 +103,10 @@ def read_capture(path) -> tuple[IqCapture, dict]:
 
 
 def write_sweep_csv(path, sweep: FrequencySweep) -> None:
-    """Write a sweep as freq_hz,re,im[,pilot_re,pilot_im][,timestamp_s] rows."""
+    """Write a sweep as freq_hz,re,im[,pilot_re,pilot_im] rows."""
     columns = ["freq_hz", "re", "im"]
     if sweep.pilot is not None:
         columns += ["pilot_re", "pilot_im"]
-    if sweep.timestamps is not None:
-        columns += ["timestamp_s"]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
@@ -121,13 +119,12 @@ def write_sweep_csv(path, sweep: FrequencySweep) -> None:
             if sweep.pilot is not None:
                 pilot = complex(sweep.pilot[i])
                 row += [repr(pilot.real), repr(pilot.imag)]
-            if sweep.timestamps is not None:
-                row += [repr(float(sweep.timestamps[i]))]
             writer.writerow(row)
 
 
 def read_sweep_csv(path) -> FrequencySweep:
-    """Parse a sweep CSV; pilot and timestamp columns are optional."""
+    """Parse a sweep CSV; the pilot columns are optional and other columns
+    are ignored."""
     from .sounding import FrequencySweep
 
     with open(path, newline="", encoding="utf-8") as fh:
@@ -144,8 +141,7 @@ def read_sweep_csv(path) -> FrequencySweep:
             )
         index = {name: i for i, name in enumerate(header)}
         has_pilot = "pilot_re" in index and "pilot_im" in index
-        has_time = "timestamp_s" in index
-        freqs, h, pilot, times = [], [], [], []
+        freqs, h, pilot = [], [], []
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -157,14 +153,11 @@ def read_sweep_csv(path) -> FrequencySweep:
                         float(row[index["pilot_re"]])
                         + 1j * float(row[index["pilot_im"]])
                     )
-                if has_time:
-                    times.append(float(row[index["timestamp_s"]]))
             except (ValueError, IndexError) as exc:
                 raise ValueError(f"sweep CSV {path} line {line_no}: {exc}") from None
     return FrequencySweep(
         freqs=np.asarray(freqs),
         h=np.asarray(h),
-        timestamps=np.asarray(times) if has_time else None,
         pilot=np.asarray(pilot) if has_pilot else None,
     )
 
@@ -198,27 +191,33 @@ def read_geometry(path) -> tuple[np.ndarray, AntennaPattern | None]:
     """Load element positions and the optional pattern table.
 
     The file is a JSON object with "elements" ([x, y, z] triples in meters)
-    and optionally "pattern" (rows of [angle_deg, gain_db, phase_deg]).
+    and optionally "pattern" (rows of [angle_deg, gain_db, phase_deg]). Every
+    cell must be a JSON number; a bool or a string is not one.
     """
     from .sounding import AntennaPattern
 
     raw = read_json_object(path, "geometry file")
     if "elements" not in raw:
         raise ValueError(f"geometry file {path} must hold an object with 'elements'")
-    elements = np.asarray(raw["elements"], dtype=np.float64)
-    if elements.ndim != 2 or elements.shape[1] != 3:
-        raise ValueError("geometry 'elements' must be [x,y,z] triples")
+    elements = _number_rows(raw, "elements", "[x, y, z]")
     pattern = None
-    if raw.get("pattern"):
-        table = np.asarray(raw["pattern"], dtype=np.float64)
-        if table.ndim != 2 or table.shape[1] != 3:
-            raise ValueError(
-                "geometry 'pattern' rows must be [angle_deg, gain_db, phase_deg]"
-            )
+    if "pattern" in raw:
+        table = _number_rows(raw, "pattern", "[angle_deg, gain_db, phase_deg]")
         with np.errstate(over="ignore", invalid="ignore"):  # rejected below if not finite
             gain = 10.0 ** (table[:, 1] / 20.0) * np.exp(1j * np.deg2rad(table[:, 2]))
         pattern = AntennaPattern(angles_deg=table[:, 0], gain=gain)
     return elements, pattern
+
+
+def _number_rows(raw: dict, key: str, row: str) -> np.ndarray:
+    """raw[key], a non-empty list of rows of 3 JSON numbers, as a float array."""
+    rows = raw[key]
+    if not (isinstance(rows, list) and rows and all(
+            isinstance(r, list) and len(r) == 3
+            and all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in r)
+            for r in rows)):
+        raise ValueError(f"geometry {key!r} must be a list of {row} rows of numbers")
+    return np.asarray(rows, dtype=np.float64)
 
 
 def write_geometry(path, elements: np.ndarray, pattern: AntennaPattern | None = None) -> None:

@@ -39,7 +39,6 @@ class FrequencySweep:
 
     freqs: np.ndarray
     h: np.ndarray
-    timestamps: np.ndarray | None = None
     pilot: np.ndarray | None = None
 
     def __post_init__(self):
@@ -58,15 +57,12 @@ class FrequencySweep:
             raise ValueError("frequency grid is not uniform")
         if not np.all(np.isfinite(self.h)):
             raise ValueError("sweep contains non-finite responses")
-        for name in ("timestamps", "pilot"):
-            v = getattr(self, name)
-            if v is not None:
-                v = np.asarray(v)
-                if v.shape != self.freqs.shape:
-                    raise ValueError(f"{name} length differs from freqs")
-                setattr(self, name, v)
-        if self.pilot is not None and not np.all(np.isfinite(self.pilot)):
-            raise ValueError("pilot contains non-finite values")
+        if self.pilot is not None:
+            self.pilot = np.asarray(self.pilot)
+            if self.pilot.shape != self.freqs.shape:
+                raise ValueError("pilot length differs from freqs")
+            if not np.all(np.isfinite(self.pilot)):
+                raise ValueError("pilot contains non-finite values")
 
     @property
     def df(self) -> float:
@@ -283,7 +279,6 @@ def compensate_phase(sweep: FrequencySweep) -> FrequencySweep:
     return FrequencySweep(
         freqs=sweep.freqs,
         h=sweep.h * np.conj(pilot) / mag,
-        timestamps=None if sweep.timestamps is None else sweep.timestamps.copy(),
         pilot=mag,
     )
 

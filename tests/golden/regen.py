@@ -5,10 +5,11 @@ script that rewrites it.
 
 runs the commands below in a temporary directory and writes the reports they
 produce to reports.json, next to this file, with the directory replaced by
-"<tmp>" in every string. The `sound` entry stands for the two CSV files of
-`nrlab sound --aoa --deembed` on a seeded 8-element scan (see write_scan):
-their SHA-256 digests, their parsed dB cells, the AoA peak cell and the
-number of masked AoA rows. The `chamber` entry holds two seeded library-level
+"<tmp>" in every string. The `cap.iq` entry stands for the capture of
+`nrlab generate`: its SHA-256 digest and its sidecar. The `sound` entry
+stands for the two CSV files of `nrlab sound --aoa --deembed` on a seeded
+8-element scan (see write_scan): their SHA-256 digests, their parsed dB
+cells, the AoA peak cell and the number of masked AoA rows. The `chamber` entry holds two seeded library-level
 chamber jobs (see chamber_job): digests of the AoA map, the PDPs and the
 faded capture, and the values a check reads off them. The `ssb` entry holds
 six seeded dense and six sparse noisy library-level SSB jobs (see ssb_job):
@@ -40,8 +41,8 @@ SCAN_POINTS = 31
 # exit code of each command is pinned too; the last four are a usage error
 # and three input errors.
 COMMANDS = (
-    (None, ["generate", "--out", "{tmp}/cap.iq", "--cell", "212", "--bursts", "4",
-            "--i-ssb", "2", "--snr-db", "10", "--seed", "5"]),
+    ("cap.iq", ["generate", "--out", "{tmp}/cap.iq", "--cell", "212", "--bursts", "4",
+                "--i-ssb", "2", "--snr-db", "10", "--seed", "5"]),
     ("detection.json", ["detect", "--in", "{tmp}/cap.iq", "--out", "{tmp}/detection.json"]),
     ("exposure.json", ["exposure", "--capture", "{tmp}/cap.iq", "--detection",
                        "{tmp}/detection.json", "--duty", "0.75", "--out", "{tmp}/exposure.json"]),
@@ -107,6 +108,15 @@ def _csv_db_cells(path: Path) -> list[list[float | None]]:
     """The dB columns of a PDP or AoA CSV, row by row; an empty cell is None."""
     lines = path.read_text(encoding="utf-8").splitlines()[1:]
     return [[float(c) if c else None for c in line.split(",")[1:]] for line in lines]
+
+
+def generate_outputs(tmp: str) -> dict:
+    """The digest of the capture that `generate` wrote, and its sidecar."""
+    from nrlab.io import sidecar_path
+
+    capture = Path(tmp, "cap.iq")
+    return {"capture_sha256": hashlib.sha256(capture.read_bytes()).hexdigest(),
+            "sidecar": json.loads(sidecar_path(capture).read_text(encoding="utf-8"))}
 
 
 def sound_outputs(tmp: str) -> dict:
@@ -295,6 +305,8 @@ def run_commands() -> dict:
                 continue  # a report that is missing shows as a missing key
             if name == "sound":
                 reports[name] = sound_outputs(tmp)
+            elif name == "cap.iq":
+                reports[name] = _normalized(generate_outputs(tmp), tmp)
             else:
                 report = json.loads(Path(tmp, name).read_text(encoding="utf-8"))
                 reports[name] = _normalized(report, tmp)

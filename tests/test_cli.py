@@ -71,6 +71,7 @@ class TestGenerate:
         assert sidecar["sample_rate_hz"] == pytest.approx(256 * 30e3)
         assert sidecar["seed"] == 1
         assert sidecar["generator_config"]["cell"] == 3
+        assert not {"n1", "n2"} & sidecar["generator_config"].keys()
 
     def test_float32_overflow_writes_nothing(self, tmp_path, capsys):
         path = tmp_path / "loud.iq"
@@ -351,7 +352,8 @@ class TestSound:
         assert run("sound", "--in", sweep_path, "--out", out, "--window", "hamming") == EXIT_OK
 
     @pytest.mark.parametrize("case", ["angle-step-0", "deembed-no-pattern",
-                                      "grid-wider-than-pattern", "nan-in-geometry"])
+                                      "grid-wider-than-pattern", "nan-in-geometry",
+                                      "string-in-geometry"])
     def test_failed_aoa_run_writes_no_file(self, tmp_path, capsys, case):
         paths, geo = self.make_broadside_scan(tmp_path)
         extra, message = {
@@ -359,12 +361,16 @@ class TestSound:
             "deembed-no-pattern": (["--deembed"], "needs a scan with an antenna pattern"),
             "grid-wider-than-pattern": (["--deembed"], "does not cover the requested angles"),
             "nan-in-geometry": ([], "is not valid JSON: NaN is not a JSON number"),
+            "string-in-geometry": ([], "geometry 'elements' must be a list of [x, y, z] rows "
+                                       "of numbers"),
         }[case]
         geometry = json.loads(geo.read_text())
         if case == "grid-wider-than-pattern":
             geometry["pattern"] = [[a, 0.0, 0.0] for a in (-30.0, 0.0, 30.0)]
         elif case == "nan-in-geometry":
             geometry["elements"][0][0] = float("nan")  # json.dumps writes NaN
+        elif case == "string-in-geometry":
+            geometry["elements"][1][0] = "0.001"  # once read as the number 0.001
         geo.write_text(json.dumps(geometry))
         out, aoa_out = tmp_path / "pdp.csv", tmp_path / "aoa.csv"
         assert run(
@@ -569,6 +575,18 @@ class TestUsage:
         assert "cp_len" not in read_sidecar(cell3_capture)["generator_config"]
         assert "cp_len" not in read_json_object(det, "report")["config"]
 
+    @pytest.mark.parametrize("key", ["n1", "n2"])
+    def test_cell_halves_are_not_options(self, tmp_path, capsys, key):
+        # `--cell 7 --n1 10 --n2 1` once wrote cell 31 with exit 0
+        out = tmp_path / "x.iq"
+        assert run("generate", "--out", out, "--cell", 7, f"--{key}", 1) == EXIT_ERROR
+        assert f"unrecognized arguments: --{key} 1" in capsys.readouterr().err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: 1}))
+        assert run("generate", "--out", out, "--config", cfg) == EXIT_ERROR
+        assert f"config file {cfg} has unknown keys: {key}" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
     def test_detect_rejects_seed(self, tmp_path, cell3_capture):
         assert run("detect", "--in", cell3_capture, "--seed", 1) == EXIT_ERROR
         assert not (tmp_path / "cell3.iq.detection.json").exists()
@@ -615,10 +633,12 @@ def cli_argv(tmp_path_factory):
 
 class TestImports:
     def test_import_loads_no_scipy(self):
-        # scipy is a test-only dependency; importing the package, its CLI
-        # and every layer in a fresh interpreter must not pull in any of it.
+        # scipy, pytest and hypothesis are test-only dependencies; importing
+        # the package, its CLI and every layer in a fresh interpreter must
+        # not pull in any of them.
         probe = IMPORT_ALL + (
-            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+            "print(sorted(m for m in sys.modules"
+            " if m.split('.')[0] in ('scipy', 'pytest', 'hypothesis')))"
         )
         assert run_probe(probe).strip() == "[]"
 

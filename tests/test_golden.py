@@ -17,8 +17,13 @@ import math
 import numpy as np
 import pytest
 
+from nrlab.cli import EXIT_OK, main
+
 from golden.regen import (
+    COMMANDS,
     GOLDEN,
+    _normalized,
+    generate_outputs,
     platform_fingerprint,
     run_chamber_jobs,
     run_commands,
@@ -129,6 +134,27 @@ def test_comparison_catches_one_exit_code(golden):
     got["exit_codes"][7][1] = 0  # detect --cp-len 20 accepted
     for exact in (True, False):
         assert mismatches(got, want, exact) == ["/exit_codes/7/1: 0 != 1"]
+
+
+def test_generate_comparison_catches_one_bit(golden, tmp_path):
+    # the capture of the corpus's `generate` run with its last bit flipped,
+    # then one sidecar value changed by one bit
+    want = golden["reports"]["cap.iq"]
+    name, argv = COMMANDS[0]
+    assert name == "cap.iq"
+    assert main([arg.replace("{tmp}", str(tmp_path)) for arg in argv]) == EXIT_OK
+    capture = tmp_path / "cap.iq"
+    data = bytearray(capture.read_bytes())
+    data[-1] ^= 1
+    capture.write_bytes(bytes(data))
+    got = _normalized(generate_outputs(str(tmp_path)), str(tmp_path))
+    assert [m.split(":")[0] for m in mismatches(got, want, exact=True)] == ["/capture_sha256"]
+    assert mismatches(got, want, exact=False) == []
+    got["sidecar"]["seed"] ^= 1
+    assert [m.split(":")[0] for m in mismatches(got, want, exact=True)] == [
+        "/capture_sha256", "/sidecar/seed"]
+    assert mismatches(got, want, exact=False) == [
+        f"/sidecar/seed: {want['sidecar']['seed'] ^ 1} != {want['sidecar']['seed']}"]
 
 
 def test_tolerances_off_the_writing_platform(golden):

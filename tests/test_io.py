@@ -112,7 +112,7 @@ class TestCaptureFiles:
 
 
 class TestSweepCsv:
-    def test_round_trip_with_pilot_and_time(self, tmp_path):
+    def test_round_trip_with_pilot(self, tmp_path):
         path = tmp_path / "sweep.csv"
         freqs = 1e9 + 1e6 * np.arange(32)
         rng = np.random.default_rng(2)
@@ -120,23 +120,36 @@ class TestSweepCsv:
             freqs=freqs,
             h=rng.standard_normal(32) + 1j * rng.standard_normal(32),
             pilot=np.exp(1j * rng.uniform(0, 1, 32)),
-            timestamps=np.arange(32) * 0.25,
         )
         write_sweep_csv(path, sweep)
         header = path.read_text().splitlines()[0]
-        assert header == "freq_hz,re,im,pilot_re,pilot_im,timestamp_s"
+        assert header == "freq_hz,re,im,pilot_re,pilot_im"
         back = read_sweep_csv(path)
         assert_allclose(back.freqs, sweep.freqs, rtol=0, atol=0)
         assert_allclose(back.h, sweep.h, rtol=0, atol=0)
         assert_allclose(back.pilot, sweep.pilot, rtol=0, atol=0)
-        assert_allclose(back.timestamps, sweep.timestamps, rtol=0, atol=0)
 
     def test_minimal_columns(self, tmp_path):
         path = tmp_path / "sweep.csv"
         path.write_text("freq_hz,re,im\n1e9,1.0,0.0\n1.001e9,0.5,-0.5\n")
         sweep = read_sweep_csv(path)
-        assert sweep.pilot is None and sweep.timestamps is None
+        assert sweep.pilot is None
         assert sweep.h[1] == 0.5 - 0.5j
+
+    def test_timestamp_column_ignored(self, tmp_path):
+        # a timestamp_s column, which no computation read, is one more
+        # unknown column: its cells, nan and inf included, are not parsed
+        plain, timed = tmp_path / "plain.csv", tmp_path / "timed.csv"
+        rows = [("1e9", "1.0", "0.0", "1.0", "0.0", "0.0"),
+                ("1.001e9", "0.5", "-0.5", "0.0", "1.0", "nan"),
+                ("1.002e9", "0.25", "2.0", "-1.0", "0.5", "inf")]
+        plain.write_text("freq_hz,re,im,pilot_re,pilot_im\n"
+                         + "".join(",".join(r[:5]) + "\n" for r in rows))
+        timed.write_text("freq_hz,re,im,pilot_re,pilot_im,timestamp_s\n"
+                         + "".join(",".join(r) + "\n" for r in rows))
+        want, got = read_sweep_csv(plain), read_sweep_csv(timed)
+        for name in ("freqs", "h", "pilot"):
+            assert_array_equal(getattr(got, name), getattr(want, name))
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "sweep.csv"
@@ -223,10 +236,25 @@ class TestGeometry:
         assert elements.shape == (2, 3)
         assert pattern is None
 
-    def test_malformed(self, tmp_path):
+    @pytest.mark.parametrize("geometry, message", [
+        ({"points": []}, "must hold an object with 'elements'"),
+        ({"elements": [["0", "0.001", "0"], [0, 0, 0]]}, "'elements' must be a list of"),
+        ({"elements": [[True, False, False], [0, 0, 0]]}, "'elements' must be a list of"),
+        ({"elements": [[0, 0], [1, 0]]}, "'elements' must be a list of"),
+        ({"elements": []}, "'elements' must be a list of"),
+        ({"elements": [[0, 0, 0]], "pattern": False}, "'pattern' must be a list of"),
+        ({"elements": [[0, 0, 0]], "pattern": 0}, "'pattern' must be a list of"),
+        ({"elements": [[0, 0, 0]], "pattern": None}, "'pattern' must be a list of"),
+        ({"elements": [[0, 0, 0]], "pattern": [["-90", "0", "0"], ["90", "0", "0"]]},
+         "'pattern' must be a list of"),
+        ({"elements": [[0, 0, 0]], "pattern": [[-90, 0, True], [90, 0, 0]]},
+         "'pattern' must be a list of"),
+    ], ids=["no-elements", "element-strings", "element-bools", "element-pairs", "no-rows",
+            "pattern-false", "pattern-0", "pattern-null", "pattern-strings", "pattern-bool"])
+    def test_malformed(self, tmp_path, geometry, message):
         path = tmp_path / "geo.json"
-        path.write_text('{"points": []}')
-        with pytest.raises(ValueError, match="elements"):
+        path.write_text(json.dumps(geometry))
+        with pytest.raises(ValueError, match=message):
             read_geometry(path)
 
 
