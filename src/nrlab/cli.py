@@ -199,11 +199,11 @@ def cmd_detect(cfg: dict) -> int:
     from .io import read_capture, write_detection_report
     from .types import OfdmParams
 
+    cfg["out"] = cfg["out"] or cfg["input"] + ".detection.json"
+    _check_writable(cfg["out"])
     capture, _ = read_capture(cfg["input"])
     params = OfdmParams(mu=cfg["mu"], fft_size=cfg["fft_size"])
     result = enumerate_ssb_bursts(capture, params, threshold=cfg["threshold"])
-    cfg["out"] = cfg["out"] or cfg["input"] + ".detection.json"
-    _check_writable(cfg["out"])
     write_detection_report(cfg["out"], result, cfg)
     if not result.bursts:
         LOG.info("no bursts found; report written to %s", cfg["out"])
@@ -224,6 +224,8 @@ def cmd_exposure(cfg: dict) -> int:
     from .io import read_capture, read_detection_report, write_report
     from .types import OfdmParams
 
+    cfg["out"] = cfg["out"] or cfg["capture"] + ".exposure.json"
+    _check_writable(cfg["out"])
     capture, _ = read_capture(cfg["capture"])
     params = OfdmParams(mu=cfg["mu"], fft_size=cfg["fft_size"])
     detection = read_detection_report(cfg["detection"])
@@ -234,8 +236,6 @@ def cmd_exposure(cfg: dict) -> int:
         capture, detection, params, n_re_total=cfg["rb_count"] * 12, duty=cfg["duty"],
         mode=cfg["mode"], coverage_factor=cfg["coverage_k"],
     )
-    cfg["out"] = cfg["out"] or cfg["capture"] + ".exposure.json"
-    _check_writable(cfg["out"])
     payload = asdict(report)
     payload["uncertainty"]["components"] = [
         {"name": n, "std_db": u, "distribution": d, "placeholder": True}
@@ -263,22 +263,25 @@ def cmd_sound(cfg: dict) -> int:
         sweep_to_cir,
     )
 
+    # Both locations are checked before any input is read, and both outputs
+    # built before either file is written, so a run that fails leaves no file.
+    cfg["out"] = cfg["out"] or cfg["input"][0] + ".pdp.csv"
+    _check_writable(cfg["out"])
+    if cfg["aoa"]:
+        if cfg["geometry"] is None:
+            raise ValueError("--geometry is required with --aoa")
+        cfg["aoa_out"] = cfg["aoa_out"] or cfg["input"][0] + ".aoa.csv"
+        _check_writable(cfg["aoa_out"])
+
     sweeps = []
     for path in cfg["input"]:
         sweep = read_sweep_csv(path)
         if sweep.pilot is not None:
             sweep = compensate_phase(sweep)
         sweeps.append(sweep)
-
-    # Both outputs are built, and both locations checked, before either file
-    # is written, so a run that fails leaves no file behind.
-    cfg["out"] = cfg["out"] or cfg["input"][0] + ".pdp.csv"
-    _check_writable(cfg["out"])
     pdp = cir_to_pdp(sweep_to_cir(sweeps[0], window=cfg["window"], pad_factor=cfg["pad"]))
     profile = None
     if cfg["aoa"]:
-        if cfg["geometry"] is None:
-            raise ValueError("--geometry is required with --aoa")
         elements, pattern = read_geometry(cfg["geometry"])
         scan = VirtualArrayScan(elements, sweeps, pattern, compensate_pattern=cfg["deembed"])
         step = cfg["angle_step"]
@@ -289,8 +292,6 @@ def cmd_sound(cfg: dict) -> int:
             )
         angles = np.arange(cfg["angle_start"], cfg["angle_stop"] + step / 2.0, step)
         profile = aoa_delay_profile(scan, angles, window=cfg["window"], pad_factor=cfg["pad"])
-        cfg["aoa_out"] = cfg["aoa_out"] or cfg["input"][0] + ".aoa.csv"
-        _check_writable(cfg["aoa_out"])
 
     write_pdp_csv(cfg["out"], pdp)
     LOG.info("PDP written to %s (noise floor %.2f dB)", cfg["out"], pdp.noise_floor_db)

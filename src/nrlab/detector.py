@@ -6,22 +6,25 @@ FFT size. Each sector's replica has one block spectrum, and an integer-bin
 CFO hypothesis is that spectrum rolled by whole bins. One kernel,
 _bin_maxima, takes the maximum over a sector's CFO bins of the inverse
 transforms, rolling, multiplying and transforming in place in reused
-buffers. Its per-numerology state is one cached table, _scan_tables. The
-blocks are streamed in groups of _SCAN_GROUP, each group loaded once,
-zero-padded past the capture, into a preallocated buffer, and the window
-energies continue a running |x|^2 sum carried from the group before. Of
-each group's lags only the runs at or above the threshold, with a neighbour
-either side, are kept for peak picking, so the scan's memory is bounded by
-the group, not the capture. Each group is first screened by the kernel in
-single precision, in halves of the other buffers; a sector takes the exact,
-double-precision pass, which transforms the loaded blocks in place, only
-where the screen, widened by a proven bound on its rounding error, could
-reach the threshold, and elsewhere reports the group's end lags at metric 0.
+buffers. The scan's state is one cached table per numerology and CFO bin
+range, _scan_tables, which builds the three PSS replicas and holds their
+spectra and each sector's replica shifted by each CFO bin. The blocks are
+streamed in groups of _SCAN_GROUP, each group loaded once, zero-padded past
+the capture, into a preallocated buffer, and the window energies continue a
+running |x|^2 sum carried from the group before. Of each group's lags only
+the runs at or above the threshold, with a neighbour either side, are kept
+for peak picking, so the scan's memory is bounded by the group, not the
+capture. Each group is first screened by the kernel in single precision, in
+halves of the other buffers; a sector takes the exact, double-precision
+pass, which transforms the loaded blocks in place, only where the screen,
+widened by a proven bound on its rounding error, could reach the threshold,
+and elsewhere reports the group's end lags at metric 0.
 The winning bin is refined by the phase slope between the two halves of the
-matched symbol, against a bin-shifted replica cached per sector and bin.
+matched symbol, against that bin's shifted replica from the scan table.
 Each burst is then demodulated once, its 4 symbols derotated and transformed
 in one call, and its grid feeds the frequency-domain matched correlations of
-the SSS and DM-RS stages against hypothesis banks cached per sector and cell.
+the SSS and DM-RS stages: one cached table per sector, _sector_tables, holds
+the PSS and the SSS bank, and one per cell the DM-RS bank.
 """
 from __future__ import annotations
 
@@ -112,37 +115,20 @@ def _check_sample_rate(capture: IqCapture, params: OfdmParams) -> None:
         )
 
 
-@lru_cache(maxsize=8)
-def _pss_replicas(params: OfdmParams) -> np.ndarray:
-    """Time-domain replicas of the three PSS symbols, shape (3, symbol_len)."""
-    reps = np.empty((3, params.symbol_len), dtype=np.complex128)
-    for n2 in range(3):
-        row = np.zeros((1, N_SSB_SUBCARRIERS), dtype=np.complex128)
-        row[0, SYNC_BAND] = gen_pss(n2)
-        reps[n2] = ofdm_modulate(row, params).samples
-    reps.setflags(write=False)
-    return reps
-
-
 @lru_cache(maxsize=3)
-def _pss_sequence(n2: int) -> np.ndarray:
-    """The PSS of one sector index, read-only."""
-    seq = gen_pss(n2)
-    seq.setflags(write=False)
-    return seq
+def _sector_tables(n2: int) -> tuple[np.ndarray, np.ndarray]:
+    """The PSS of one sector index and its 336 SSS hypotheses, read-only.
 
-
-@lru_cache(maxsize=3)
-def _sss_bank(n2: int) -> np.ndarray:
-    """All 336 SSS hypotheses for one sector index, shape (336, 127), row n1
-    equal to gen_sss(n1, n2), built in one pass with n1 as a column.
-
-    Held as complex128, so that the product with an equalized symbol is one
-    BLAS call; its values equal those of the real-valued bank's mixed product.
+    The SSS bank has shape (336, 127), row n1 equal to gen_sss(n1, n2),
+    built in one pass with n1 as a column. It is held as complex128, so that
+    the product with an equalized symbol is one BLAS call; its values equal
+    those of the real-valued bank's mixed product.
     """
+    pss = gen_pss(n2)
     bank = _sss(np.arange(336)[:, None], n2).astype(np.complex128)
-    bank.setflags(write=False)
-    return bank
+    for table in (pss, bank):
+        table.setflags(write=False)
+    return pss, bank
 
 
 @lru_cache(maxsize=64)
@@ -167,13 +153,14 @@ def _fractional_cfo(segment: np.ndarray, replica: np.ndarray, fft_size: int) -> 
 
 @lru_cache(maxsize=8)
 def _scan_tables(
-    params: OfdmParams,
-) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, tuple[float, ...]]:
-    """The PSS scan's per-numerology table, read-only: the block length L,
-    the smallest power of two >= 4 symbols and so a multiple of fft_size;
-    the conjugated L-point replica spectra S, shape (3, L); L * S rounded to
-    complex64 for the screen; max|S| per sector, shape (3,); and the replica
-    energies.
+    params: OfdmParams, max_cfo_bins: int,
+) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, tuple[float, ...], np.ndarray]:
+    """The PSS scan's table for one numerology and CFO bin range, read-only:
+    the block length L, the smallest power of two >= 4 symbols and so a
+    multiple of fft_size; the conjugated L-point spectra S of the three PSS
+    replicas, shape (3, L); L * S rounded to complex64 for the screen; max|S|
+    per sector, shape (3,); the replica energies; and the replicas shifted by
+    CFO bin k, shape (3, 2 * max_cfo_bins + 1, symbol_len), at k + max_cfo_bins.
 
     The factor L undoes the 1/L of the screen's forward transform: np.fft
     runs a complex64 forward transform in single precision only when it is
@@ -181,13 +168,21 @@ def _scan_tables(
     powers of two, so the products are those of the unscaled spectra.
     """
     block = 1 << (4 * params.symbol_len - 1).bit_length()
-    replicas = _pss_replicas(params)
+    replicas = np.empty((3, params.symbol_len), dtype=np.complex128)
+    for n2 in range(3):
+        row = np.zeros((1, N_SSB_SUBCARRIERS), dtype=np.complex128)
+        row[0, SYNC_BAND] = gen_pss(n2)
+        replicas[n2] = ofdm_modulate(row, params).samples
+    bins = np.arange(-max_cfo_bins, max_cfo_bins + 1)[:, None]
+    ramp = np.arange(params.symbol_len) / params.fft_size
+    shifted = replicas[:, None] * np.exp(2j * np.pi * bins * ramp)
     spectra = np.conj(np.fft.fft(replicas, n=block))
     screen = (spectra * block).astype(np.complex64)
     peak = np.abs(spectra).max(axis=1)
-    for table in (spectra, screen, peak):
+    for table in (spectra, screen, peak, shifted):
         table.setflags(write=False)
-    return block, spectra, screen, peak, tuple(float(np.sum(np.abs(r) ** 2)) for r in replicas)
+    energies = tuple(float(np.sum(np.abs(r) ** 2)) for r in replicas)
+    return block, spectra, screen, peak, energies, shifted
 
 
 def _halves(buf: np.ndarray) -> np.ndarray:
@@ -335,7 +330,7 @@ def _pss_scan(
     # Block b holds x[b*step : b*step + block]; its first `step` circular
     # correlation lags are free of wrap-around and are lags b*step + t.
     # Only the last block can reach past the capture.
-    block, spectra, spectra32, spectra_peak, ref_energy = _scan_tables(params)
+    block, spectra, spectra32, spectra_peak, ref_energy, _ = _scan_tables(params, MAX_CFO_BINS)
     step = block - length + 1
     n_blocks = -(-n_lags // step)
     bin_shift = block // params.fft_size
@@ -411,15 +406,6 @@ def _pss_scan(
     return kept
 
 
-@lru_cache(maxsize=32)
-def _bin_replica(params: OfdmParams, n2: int, k: int) -> np.ndarray:
-    """Sector n2's PSS replica shifted by integer CFO bin k, read-only."""
-    ramp = np.arange(params.symbol_len) / params.fft_size
-    rep = _pss_replicas(params)[n2] * np.exp(2j * np.pi * k * ramp)
-    rep.setflags(write=False)
-    return rep
-
-
 def detect_pss(
     capture: IqCapture,
     params: OfdmParams,
@@ -457,6 +443,7 @@ def detect_pss(
             f"capture of {x.size} samples shorter than one OFDM symbol ({length})"
         )
     n_lags = x.size - length + 1
+    shifted = _scan_tables(params, MAX_CFO_BINS)[-1]
     candidates: list[PssCandidate] = []
     for n2, runs in enumerate(_pss_scan(x, params, threshold)):
         # the runs joined, with sentinels either side, so maxima at the
@@ -466,7 +453,7 @@ def detect_pss(
         for i in _find_peaks(metric, lags, threshold, length):
             lag, k = int(lags[i]), int(k_best[i])
             frac = _fractional_cfo(
-                x[lag:lag + length], _bin_replica(params, n2, k), params.fft_size
+                x[lag:lag + length], shifted[n2, k + MAX_CFO_BINS], params.fft_size
             )
             candidates.append(
                 PssCandidate(
@@ -539,8 +526,9 @@ def _sss_from_grid(grid: np.ndarray, n2: int) -> tuple[int, float]:
     Returns:
         (n1, normalized metric of the winning hypothesis).
     """
-    chan = np.mean(grid[0, SYNC_BAND] * _pss_sequence(n2))  # LS per RE, then flat
-    return _best_match(_sss_bank(n2), grid[2, SYNC_BAND] * np.conj(chan))
+    pss, sss_bank = _sector_tables(n2)
+    chan = np.mean(grid[0, SYNC_BAND] * pss)  # LS per RE, then flat
+    return _best_match(sss_bank, grid[2, SYNC_BAND] * np.conj(chan))
 
 
 def identify_ssb_index(grid: np.ndarray, cell_id: CellId) -> tuple[int, float]:

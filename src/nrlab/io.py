@@ -60,8 +60,6 @@ def _validate_sidecar(raw: dict) -> dict:
             raise ValueError(f"sidecar missing required key {key!r}")
         if not isinstance(raw[key], (int, float)) or isinstance(raw[key], bool):
             raise ValueError(f"sidecar key {key!r} must be a number, got {raw[key]!r}")
-        if not math.isfinite(raw[key]):
-            raise ValueError(f"sidecar key {key!r} must be finite, got {raw[key]!r}")
     if "created_by" not in raw:
         raise ValueError("sidecar missing required key 'created_by'")
     if not isinstance(raw["created_by"], str):

@@ -4,6 +4,10 @@ Covers the sweep-to-delay-domain transform with windowing, PDP extraction,
 pilot-based phase-drift compensation, virtual-array delay-and-sum angle of
 arrival mapping with optional antenna-pattern de-embedding.
 
+The delay transform, a chirp-z transform, reads one cached table per window,
+pad factor and sweep length, _delay_table, shared by sweep_to_cir and the
+AoA map: the chirp, the spectrum of its conjugate and the window weights.
+
 The AoA map runs its blocks of angles, and then its conversion to dB, on
 worker threads, one per usable CPU (at most types.MAX_WORKERS), sharing
 AOA_ANGLE_BLOCK angles in flight; numpy's FFT and ufunc loops release the
@@ -165,35 +169,25 @@ class AoaDelayProfile:
 
 
 @lru_cache(maxsize=8)
-def _chirp_kernel(n: int, n_fft: int) -> tuple[np.ndarray, np.ndarray]:
-    """Chirp c_k = exp(j*pi*k^2/n_fft), k < n_fft, and the spectrum of its
-    conjugate at the power-of-two length L >= n + n_fft - 1.
+def _delay_table(
+    window: str, pad_factor: int, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The delay transform's table over n points, read-only and kept for the
+    next call with the same arguments: with n_fft = pad_factor * n, the chirp
+    c_k = exp(j*pi*k^2/n_fft), k < n_fft; the spectrum of its conjugate at
+    the power-of-two length L >= n + n_fft - 1; and the weights
+    chirp[:n] * w / (mean(w) * n) of the window w.
 
     With ik = (i^2 + k^2 - (k-i)^2)/2, sum_i x_i exp(+j*2*pi*ik/n_fft) is
     c_k * sum_i (x_i c_i) conj(c_{k-i}): a linear convolution, done as a
     circular one of length L (Rabiner, Schafer and Rader, 1969). k^2 is
     reduced modulo 2*n_fft, the chirp's period, before it is scaled, so the
     phase stays exact for large k.
-    """
-    length = 1 << (n + n_fft - 2).bit_length()
-    k = np.arange(n_fft, dtype=np.int64)
-    chirp = np.exp(1j * np.pi * ((k * k) % (2 * n_fft)) / n_fft)
-    conj = np.zeros(length, dtype=np.complex128)
-    conj[:n_fft] = chirp.conj()
-    conj[length - n + 1:] = chirp[n - 1:0:-1].conj()
-    spectrum = np.fft.fft(conj)
-    chirp.setflags(write=False)
-    spectrum.setflags(write=False)
-    return chirp, spectrum
 
-
-@lru_cache(maxsize=8)
-def _window_weights(window: str, pad_factor: int, n: int) -> np.ndarray:
-    """Weights chirp[:n] * w / (mean(w) * n) of the delay transform over n
-    points, read-only and kept for the next call with the same arguments.
     Rejects an unknown window, a pad factor below 1, and a window whose
     coherent gain over n points is zero (Hann over 2 points is [0, 0]); a
-    rejection is not kept, so it raises again on every call."""
+    rejection is not kept, so it raises again on every call.
+    """
     if window not in _WINDOWS:
         raise ValueError(f"window must be one of {sorted(_WINDOWS)}, got {window!r}")
     if pad_factor < 1:
@@ -204,10 +198,18 @@ def _window_weights(window: str, pad_factor: int, n: int) -> np.ndarray:
             f"a {window} window over {n} points is all zeros; "
             "the sweep needs more points or another window"
         )
-    chirp, _ = _chirp_kernel(n, pad_factor * n)
+    n_fft = pad_factor * n
+    length = 1 << (n + n_fft - 2).bit_length()
+    k = np.arange(n_fft, dtype=np.int64)
+    chirp = np.exp(1j * np.pi * ((k * k) % (2 * n_fft)) / n_fft)
+    conj = np.zeros(length, dtype=np.complex128)
+    conj[:n_fft] = chirp.conj()
+    conj[length - n + 1:] = chirp[n - 1:0:-1].conj()
+    spectrum = np.fft.fft(conj)
     weights = chirp[:n] * (w / (w.mean() * n))
-    weights.setflags(write=False)
-    return weights
+    for table in (chirp, spectrum, weights):
+        table.setflags(write=False)
+    return chirp, spectrum, weights
 
 
 def _delay_taps(h: np.ndarray, window: str, pad_factor: int) -> np.ndarray:
@@ -217,14 +219,11 @@ def _delay_taps(h: np.ndarray, window: str, pad_factor: int) -> np.ndarray:
     of the window-compensated responses x, by a chirp-z transform, so the
     cost follows a power-of-two FFT whatever the factors of n_fft.
     """
-    n = h.shape[-1]
-    weights = _window_weights(window, pad_factor, n)
-    n_fft = pad_factor * n
-    chirp, spectrum = _chirp_kernel(n, n_fft)
+    chirp, spectrum, weights = _delay_table(window, pad_factor, h.shape[-1])
     conv = np.fft.fft(h * weights, spectrum.size)
     conv *= spectrum
     np.fft.ifft(conv, out=conv)
-    return conv[..., :n_fft] * chirp
+    return conv[..., :chirp.size] * chirp
 
 
 def sweep_to_cir(
@@ -394,7 +393,7 @@ def aoa_delay_profile(
     angles = np.asarray(angle_grid_deg, dtype=np.float64)
     if angles.ndim != 1 or angles.size < 1:
         raise ValueError("angle grid must be a non-empty 1-D array")
-    weights = _window_weights(window, pad_factor, scan.freqs.size)
+    _, spectrum, weights = _delay_table(window, pad_factor, scan.freqs.size)
     if scan.element_positions.shape[0] < 2:
         raise ValueError("beamforming needs at least 2 elements")
 
@@ -418,7 +417,6 @@ def aoa_delay_profile(
     delays_m = scan.element_positions @ directions.T / SPEED_OF_LIGHT  # (n_elem, n_angle)
 
     n_fft = pad_factor * n
-    spectrum = _chirp_kernel(n, n_fft)[1]
     power = np.empty((angles.size, n_fft))  # the workers write every valid row
     power[~valid] = np.nan
     workers = _worker_count(-(-int(valid.sum()) // AOA_ANGLE_BLOCK))

@@ -15,13 +15,25 @@ library's candidates must equal its candidates exactly.
 import numpy as np
 from scipy import signal
 
+from nrlab import gen_pss, ofdm_modulate
 from nrlab.detector import (
     PssCandidate,
     _find_peaks,
     _fractional_cfo,
-    _pss_replicas,
     _scan_tables,
 )
+from nrlab.types import N_SSB_SUBCARRIERS, SYNC_BAND
+
+
+def pss_replicas(params):
+    """Time-domain replicas of the three PSS symbols, shape (3, symbol_len):
+    each sector's PSS alone on the SSB's subcarriers, OFDM-modulated."""
+    reps = []
+    for n2 in range(3):
+        row = np.zeros((1, N_SSB_SUBCARRIERS), dtype=np.complex128)
+        row[0, SYNC_BAND] = gen_pss(n2)
+        reps.append(ofdm_modulate(row, params).samples)
+    return np.array(reps)
 
 
 def reference_pss_scan(x, params, max_cfo_bins):
@@ -31,7 +43,7 @@ def reference_pss_scan(x, params, max_cfo_bins):
     window_energy = csum[length:] - csum[:-length]
     n_lags = x.size - length + 1
     ramp = np.arange(length) / params.fft_size
-    for base in _pss_replicas(params):
+    for base in pss_replicas(params):
         denom = np.sqrt(window_energy * float(np.sum(np.abs(base) ** 2)))
         metric = np.zeros(n_lags)
         k_best = np.zeros(n_lags, dtype=np.int64)
@@ -52,7 +64,7 @@ def allocating_pss_scan(x, params, max_cfo_bins):
     window_energy = csum[length:] - csum[:-length]
     n_lags = x.size - length + 1
 
-    block, spectra = _scan_tables(params)[:2]
+    block, spectra = _scan_tables(params, max_cfo_bins)[:2]
     step = block - length + 1
     n_blocks = -(-n_lags // step)
     padded = np.zeros((n_blocks - 1) * step + block, dtype=np.complex128)
@@ -61,7 +73,7 @@ def allocating_pss_scan(x, params, max_cfo_bins):
     x_spec = np.fft.fft(blocks, axis=1)
     bin_shift = block // params.fft_size
 
-    for base, spectrum in zip(_pss_replicas(params), spectra):
+    for base, spectrum in zip(pss_replicas(params), spectra):
         denom = np.sqrt(window_energy * float(np.sum(np.abs(base) ** 2)))
         peak_corr = np.zeros(n_lags)
         k_best = np.zeros(n_lags, dtype=np.int64)
@@ -80,7 +92,7 @@ def _candidates(capture, params, scans, pick):
     of a metric array padded with -1 at both ends."""
     x = capture.samples
     length = params.symbol_len
-    replicas = _pss_replicas(params)
+    replicas = pss_replicas(params)
     ramp = np.arange(length) / params.fft_size
     found = []
     for n2, (metric, k_best) in enumerate(scans):

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import json
 import os
@@ -5,6 +6,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -444,6 +446,57 @@ class TestSound:
         assert not aoa_out.exists()
 
 
+# the readers and layers that a command with a bad output location must not reach
+INPUT_READERS_AND_LAYERS = (
+    "nrlab.io.read_capture", "nrlab.io.read_detection_report", "nrlab.io.read_sweep_csv",
+    "nrlab.io.read_geometry", "nrlab.detector.enumerate_ssb_bursts",
+    "nrlab.exposure.measure_exposure", "nrlab.sounding.aoa_delay_profile",
+)
+
+
+class TestOutputChecks:
+    """Every output location is checked, and --geometry required with --aoa,
+    before any input is read or any layer runs."""
+
+    # "exposure-no-bursts" exited 2 ("nothing to measure") when the location
+    # was checked last
+    @pytest.mark.parametrize("case", ["detect", "exposure", "exposure-no-bursts", "sound",
+                                      "sound-aoa", "sound-aoa-without-geometry"])
+    def test_fails_before_any_input_is_read(self, tmp_path, capsys, cell3_capture, case):
+        burst = SsbBurst(timing=1000, i_ssb_bar=0, pss_metric=1.0, sss_metric=1.0,
+                         dmrs_metric=1.0)
+        det = tmp_path / "det.json"
+        bursts = [] if case == "exposure-no-bursts" else [burst]
+        write_detection_report(det, DetectionResult(CellId.from_cell(3), bursts), {})
+        sweeps = [tmp_path / "el0.csv", tmp_path / "el1.csv"]
+        for path in sweeps:
+            write_sweep_csv(path, FrequencySweep(1e9 + 1e6 * np.arange(16), np.ones(16)))
+        geo = tmp_path / "geo.json"
+        geo.write_text(json.dumps({"elements": [[0, 0, 0], [0.001, 0, 0]]}))
+        missing, pdp, aoa = tmp_path / "missing", tmp_path / "pdp.csv", tmp_path / "aoa.csv"
+        exposure = ["exposure", "--capture", cell3_capture, "--detection", det,
+                    "--out", missing / "exp.json"]
+        argv = {
+            "detect": ["detect", "--in", cell3_capture, "--out", missing / "det.json"],
+            "exposure": exposure,
+            "exposure-no-bursts": exposure,
+            "sound": ["sound", "--in", *sweeps, "--out", missing / "pdp.csv"],
+            "sound-aoa": ["sound", "--in", *sweeps, "--aoa", "--geometry", geo,
+                          "--out", pdp, "--aoa-out", missing / "aoa.csv"],
+            "sound-aoa-without-geometry": ["sound", "--in", *sweeps, "--aoa",
+                                           "--out", pdp, "--aoa-out", aoa],
+        }[case]
+        with contextlib.ExitStack() as stack:
+            spies = [stack.enter_context(mock.patch(target, side_effect=AssertionError(target)))
+                     for target in INPUT_READERS_AND_LAYERS]
+            assert run(*argv) == EXIT_ERROR
+        message = ("--geometry is required with --aoa" if case.endswith("without-geometry")
+                   else "output directory does not exist")
+        assert message in capsys.readouterr().err
+        assert not any(spy.called for spy in spies)
+        assert not pdp.exists() and not aoa.exists()
+
+
 class TestOtasim:
     def test_wireless_cable_isolation(self, tmp_path):
         out = tmp_path / "wc.json"
@@ -524,6 +577,16 @@ class TestConfigangling:
         echoed = read_sidecar(out)["generator_config"]
         assert echoed["cell"] == 3 and type(echoed["cell"]) is int
         assert echoed["re_power"] == 2.0 and type(echoed["re_power"]) is float
+
+    def test_null_config_value_is_the_default(self, tmp_path):
+        # JSON null for an option whose default is None runs as the default
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"snr_db": None, "bursts": 2}))
+        with_null, without = tmp_path / "null.iq", tmp_path / "plain.iq"
+        assert run("generate", "--config", cfg, "--out", with_null) == EXIT_OK
+        assert run("generate", "--bursts", 2, "--out", without) == EXIT_OK
+        assert with_null.read_bytes() == without.read_bytes()
+        assert read_sidecar(with_null)["generator_config"]["snr_db"] is None
 
     def test_unknown_config_keys_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"

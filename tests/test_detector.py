@@ -27,16 +27,17 @@ from nrlab import detector
 from nrlab.detector import (
     DEFAULT_PSS_THRESHOLD,
     MAX_CFO_BINS,
+    PssCandidate,
     _SCAN_GROUP,
     _bin_maxima,
     _find_peaks,
     _fractional_cfo,
     _kept_lags,
     _load_blocks,
-    _pss_replicas,
+    _merge_candidates,
     _scan_tables,
     _screen_bounds,
-    _sss_bank,
+    _sector_tables,
     _sss_from_grid,
 )
 from nrlab.otasim import awgn
@@ -45,7 +46,7 @@ from exposure_reference import (
     reference_identify_ssb_index,
     reference_sss_from_grid,
 )
-from pss_reference import allocating_detect_pss, reference_detect_pss
+from pss_reference import allocating_detect_pss, pss_replicas, reference_detect_pss
 
 
 def noise_capture(n, seed, sample_rate):
@@ -115,7 +116,7 @@ class TestDetectPss:
         # last block of the 157 000-sample one reaches past the capture, and
         # is zero-padded inside the scan's buffers instead of in a copy of
         # its group's span.
-        block = _scan_tables(params)[0]
+        block = _scan_tables(params, MAX_CFO_BINS)[0]
         step = block - params.symbol_len + 1
         peaks = []
         for n, whole_groups in ((170_673, True), (157_000, False)):
@@ -164,7 +165,7 @@ def with_cfo(capture, cfo_hz):
 def bin_replicas(params, n2):
     """The sector's replica shifted by each CFO bin -2..2."""
     ramp = np.arange(params.symbol_len) / params.fft_size
-    base = _pss_replicas(params)[n2]
+    base = pss_replicas(params)[n2]
     return {k: base * np.exp(2j * np.pi * k * ramp) for k in range(-2, 3)}
 
 
@@ -310,7 +311,7 @@ def screen_error_ratio(capture, params):
     blocks = capture_blocks(capture.samples, params)
     block, step = scan_block_geometry(params)
     bin_shift = block // params.fft_size
-    _, spectra, spectra32, spectra_peak, _ = _scan_tables(params)
+    _, spectra, spectra32, spectra_peak, _, _ = _scan_tables(params, MAX_CFO_BINS)
     delta = _screen_bounds(blocks, spectra_peak)
     x_spec = np.fft.fft(blocks, axis=1)
     x32 = np.fft.fft(blocks.astype(np.complex64), axis=1, norm="forward")
@@ -403,7 +404,7 @@ class TestScreenedScan:
         p512 = OfdmParams(fft_size=512)
         capture = planted_bursts(p512, [(40, 3000, 1.0), (41, 9000, 1e-4)], 16_000,
                                  cfo_bins=0.3, snr_db=20.0, seed=1)
-        assert _scan_tables(p512)[0] == 4096
+        assert _scan_tables(p512, MAX_CFO_BINS)[0] == 4096
         assert screen_error_ratio(capture, p512) <= 1 / 8
 
 
@@ -631,6 +632,17 @@ class TestEnumerate:
         assert wins == 10
 
 
+class TestMergeCandidates:
+    def test_stronger_candidate_replaces_and_anchors_the_window(self):
+        # B is within one SSB of A and stronger, so it replaces A; C is within
+        # the window of B but not of A, so the window runs from B and C goes;
+        # D is one window after B and stays
+        window = 1096
+        a, b, c, d = (PssCandidate(n2=0, timing=t, cfo=0.0, metric=m) for t, m in
+                      ((0, 0.5), (100, 0.9), (window + 50, 0.6), (window + 100, 0.4)))
+        assert _merge_candidates([d, c, b, a], window) == [b, d]
+
+
 class TestInvariants:
     @pytest.mark.parametrize("cell", [0, 3, 500, 1007])
     def test_end_to_end_identity(self, cell, params):
@@ -773,12 +785,25 @@ class TestSampleRate:
 
 
 class TestBanks:
-    """The cached SSS and DM-RS banks decide exactly as the direct products."""
+    """The cached replica, SSS and DM-RS banks equal, and decide exactly as,
+    the direct products."""
+
+    @pytest.mark.parametrize("fft_size", [256, 512])
+    def test_shifted_replicas_equal_per_bin_products(self, fft_size):
+        # the scan table's bin-shifted replicas, built in one product, equal
+        # the replica times each bin's phasor taken one bin at a time
+        p = OfdmParams(fft_size=fft_size)
+        ramp = np.arange(p.symbol_len) / p.fft_size
+        shifted = _scan_tables(p, MAX_CFO_BINS)[-1]
+        for n2, base in enumerate(pss_replicas(p)):
+            for k in range(-MAX_CFO_BINS, MAX_CFO_BINS + 1):
+                want = base * np.exp(2j * np.pi * k * ramp)
+                assert shifted[n2, k + MAX_CFO_BINS].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n2", [0, 1, 2])
     def test_sss_bank_equals_gen_sss_rows(self, n2):
         rows = np.stack([gen_sss(n1, n2) for n1 in range(336)]).astype(np.complex128)
-        assert _sss_bank(n2).tobytes() == rows.tobytes()
+        assert _sector_tables(n2)[1].tobytes() == rows.tobytes()
 
     @pytest.mark.parametrize("n2", [0, 1, 2])
     def test_sss_equals_real_bank_product(self, n2, params, burst_capture):

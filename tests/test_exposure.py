@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -267,3 +268,20 @@ class TestReport:
         with pytest.raises(ValueError, match="no bursts"):
             measure_exposure(burst_capture(), empty, params, n_re_total=1200, duty=1.0,
                              mode="conducted")
+
+
+class TestRejectedInputs:
+    """A burst without a cell identity and a negative per-RE power are
+    rejected with their own messages."""
+
+    @pytest.mark.parametrize("call, message", [
+        pytest.param(lambda capture, params: measure_exposure(
+            capture, DetectionResult(cell_id=None, bursts=[SsbBurst(300, 0, 1.0, 1.0, 1.0)]),
+            params, n_re_total=1200, duty=1.0, mode="conducted",
+        ), "detection carries no cell identity", id="bursts-without-cell"),
+        pytest.param(lambda capture, params: extrapolate_exposure(-1e-3, 1200, 1.0),
+                     "re_power must be >= 0, got -0.001", id="negative-re-power"),
+    ])
+    def test_rejected(self, burst_capture, params, call, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call(burst_capture(), params)

@@ -163,6 +163,46 @@ class TestSweepCsv:
         with pytest.raises(ValueError, match="line 2"):
             read_sweep_csv(path)
 
+    def test_blank_rows_skipped(self, tmp_path):
+        plain, spaced = tmp_path / "plain.csv", tmp_path / "spaced.csv"
+        plain.write_text("freq_hz,re,im\n1e9,1.0,0.0\n1.001e9,0.5,-0.5\n")
+        spaced.write_text("freq_hz,re,im\n\n1e9,1.0,0.0\n\n1.001e9,0.5,-0.5\n\n")
+        want, got = read_sweep_csv(plain), read_sweep_csv(spaced)
+        assert_array_equal(got.freqs, want.freqs)
+        assert_array_equal(got.h, want.h)
+
+
+class TestRejectedFiles:
+    """A sidecar without its writer, a sidecar number that is not finite JSON
+    (rejected by read_json_object, the one owner of finiteness) and an empty
+    sweep CSV each fail with the error that names them."""
+
+    @pytest.mark.parametrize("case, message", [
+        ("sidecar-without-created-by", "sidecar missing required key 'created_by'"),
+        ("sidecar-scale-nan", "is not valid JSON: NaN is not a JSON number"),
+        ("sidecar-rate-1e400", "is not valid JSON: 1e400 overflows a float"),
+        ("empty-sweep-csv", "is empty"),
+    ])
+    def test_rejected(self, tmp_path, case, message):
+        if case == "empty-sweep-csv":
+            path = tmp_path / "sweep.csv"
+            path.write_text("")
+            with pytest.raises(ValueError, match=message):
+                read_sweep_csv(path)
+            return
+        path = tmp_path / "cap.iq"
+        write_capture(path, sample_capture())
+        sidecar = json.loads(sidecar_path(path).read_text())
+        if case == "sidecar-without-created-by":
+            del sidecar["created_by"]
+        elif case == "sidecar-scale-nan":
+            sidecar["scale"] = float("nan")  # json.dumps writes NaN
+        else:
+            sidecar["sample_rate_hz"] = "HUGE"
+        sidecar_path(path).write_text(json.dumps(sidecar).replace('"HUGE"', "1e400"))
+        with pytest.raises(ValueError, match=message):
+            read_capture(path)
+
 
 def reference_write_aoa_csv(path, profile):
     """The per-cell writer: one np.isnan and one f-string per cell."""

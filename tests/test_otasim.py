@@ -1,3 +1,4 @@
+import re
 import threading
 import tracemalloc
 import warnings
@@ -171,6 +172,31 @@ class TestIsolation:
             est = estimate_transfer_matrix(make_rsrp_sounder(truth), ports)
             effective = truth.a @ compute_calibration(est)
             assert isolation_db(effective) >= 30.0
+
+
+class TestRejectedValues:
+    """Each check of the transfer matrix, the fading realization and the
+    isolation raises with its own message."""
+
+    @pytest.mark.parametrize("make, message", [
+        pytest.param(lambda: TransferMatrix(np.eye(4)[:3]),
+                     "transfer matrix must be square, got (3, 4)", id="non-square"),
+        pytest.param(lambda: TransferMatrix(np.eye(3)),
+                     "port count must be one of (2, 4, 8), got 3", id="three-ports"),
+        pytest.param(lambda: TransferMatrix(np.diag([1.0, np.inf])),
+                     "transfer matrix contains non-finite entries", id="inf-entry"),
+        pytest.param(lambda: FadingRealization([0.0, 1e-9], [1.0]),
+                     "delays and gains must be matching 1-D arrays", id="short-gains"),
+        pytest.param(lambda: FadingRealization([-1e-9, 0.0], [1.0, 1.0]),
+                     "delays must be nonnegative", id="negative-delay"),
+        pytest.param(lambda: FadingRealization([0.0, 0.0], [1.0, 1.0]),
+                     "delays must be strictly increasing", id="repeated-delay"),
+        pytest.param(lambda: isolation_db(np.ones((2, 3))),
+                     "effective matrix must be square, got (2, 3)", id="non-square-isolation"),
+    ])
+    def test_rejected(self, make, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make()
 
 
 class TestRcChannel:

@@ -1,3 +1,4 @@
+import re
 import sys
 import threading
 import tracemalloc
@@ -22,9 +23,8 @@ from nrlab import sounding, types
 from nrlab.sounding import (
     AOA_ANGLE_BLOCK,
     SPEED_OF_LIGHT,
-    _chirp_kernel,
+    _delay_table,
     _delay_taps,
-    _window_weights,
 )
 
 from aoa_reference import reference_aoa_delay_profile, reference_sweep_to_cir
@@ -188,7 +188,7 @@ class TestChirpZTransform:
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_kernel_is_read_only(self):
-        chirp, spectrum = _chirp_kernel(1601, 6404)
+        chirp, spectrum, _ = _delay_table("hann", 4, 1601)
         assert chirp.shape == (6404,) and spectrum.shape == (8192,)
         for array in (chirp, spectrum):
             assert not array.flags.writeable
@@ -196,20 +196,20 @@ class TestChirpZTransform:
                 array[0] = 0
 
     def test_window_weights_are_kept_and_read_only(self):
-        weights = _window_weights("hann", 4, 1601)
-        assert _window_weights("hann", 4, 1601) is weights
+        table = _delay_table("hann", 4, 1601)
+        assert _delay_table("hann", 4, 1601) is table
+        chirp, _, weights = table
         assert not weights.flags.writeable
         with pytest.raises(ValueError):
             weights[0] = 0
         # the weights that were built on every call before they were kept
-        chirp, _ = _chirp_kernel(1601, 6404)
         w = np.hanning(1601)
         assert weights.tobytes() == (chirp[:1601] * (w / (w.mean() * 1601))).tobytes()
 
     def test_rejected_window_raises_on_every_call(self):
         for _ in range(2):
             with pytest.raises(ValueError, match="hann window over 2 points is all zeros"):
-                _window_weights("hann", 4, 2)
+                _delay_table("hann", 4, 2)
 
     @pytest.mark.parametrize("shape, pad_factor", [((201,), 4), ((3, 1601), 4), ((2, 50), 3)])
     def test_in_place_transform_is_bit_identical(self, shape, pad_factor):
@@ -217,8 +217,8 @@ class TestChirpZTransform:
         rng = np.random.default_rng(shape[-1])
         h = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         n = shape[-1]
-        chirp, spectrum = _chirp_kernel(n, pad_factor * n)
-        conv = np.fft.fft(h * _window_weights("hamming", pad_factor, n), spectrum.size)
+        chirp, spectrum, weights = _delay_table("hamming", pad_factor, n)
+        conv = np.fft.fft(h * weights, spectrum.size)
         conv *= spectrum
         want = np.fft.ifft(conv)[..., :pad_factor * n] * chirp
         assert _delay_taps(h, "hamming", pad_factor).tobytes() == want.tobytes()
@@ -711,3 +711,42 @@ class TestAoaWorkers:
             tracemalloc.stop()
         assert profile.power_db.shape == (181, 6404) and ran == (workers, workers)
         assert peak <= 17e6, f"traced peak {peak} B"
+
+
+def _one_element_scan():
+    return VirtualArrayScan(np.zeros((1, 3)), [multipath_sweep([(1.0, 0.0)])])
+
+
+class TestRejectedInputs:
+    """Each check of the sweep, pattern and scan types and of the AoA map
+    raises with its own message."""
+
+    @pytest.mark.parametrize("make, message", [
+        pytest.param(lambda: FrequencySweep([1e9], [1.0]),
+                     "sweep needs at least 2 frequency points", id="one-point-sweep"),
+        pytest.param(lambda: FrequencySweep(FREQS, np.ones(N_POINTS - 1)),
+                     "freqs and h lengths differ", id="short-h"),
+        pytest.param(lambda: FrequencySweep(FREQS[::-1], np.ones(N_POINTS)),
+                     "freqs must be strictly increasing", id="falling-freqs"),
+        pytest.param(lambda: FrequencySweep(FREQS, np.full(N_POINTS, np.nan)),
+                     "sweep contains non-finite responses", id="nan-h"),
+        pytest.param(lambda: FrequencySweep(FREQS, np.ones(N_POINTS), pilot=np.ones(3)),
+                     "pilot length differs from freqs", id="short-pilot"),
+        pytest.param(lambda: AntennaPattern([0.0], [1.0]),
+                     "pattern needs at least 2 angle points", id="one-angle-pattern"),
+        pytest.param(lambda: AntennaPattern([0.0, 0.0], [1.0, 1.0]),
+                     "pattern angles must be strictly increasing", id="repeated-angle"),
+        pytest.param(lambda: AntennaPattern([0.0, 1.0], [1.0]),
+                     "pattern gain length differs from angles", id="short-gain"),
+        pytest.param(lambda: VirtualArrayScan(np.zeros((1, 2)), [multipath_sweep([])]),
+                     "element_positions must have shape (n_elements, 3)", id="2d-positions"),
+        pytest.param(lambda: VirtualArrayScan(np.zeros((0, 3)), []),
+                     "scan needs at least one element", id="no-elements"),
+        pytest.param(lambda: aoa_delay_profile(_one_element_scan(), np.zeros((0,))),
+                     "angle grid must be a non-empty 1-D array", id="empty-angle-grid"),
+        pytest.param(lambda: aoa_delay_profile(_one_element_scan(), [0.0]),
+                     "beamforming needs at least 2 elements", id="one-element"),
+    ])
+    def test_rejected(self, make, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make()

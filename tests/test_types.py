@@ -1,3 +1,4 @@
+import re
 import sys
 import threading
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nrlab import IqCapture, OfdmParams, types
+from nrlab import CellId, IqCapture, OfdmParams, SsbConfig, types
 from nrlab.types import MAX_WORKERS, _median, _run_slices, _worker_count
 
 
@@ -89,6 +90,34 @@ class TestOfdmParams:
         # a CP longer than the symbol body once wrapped round in ofdm_modulate
         with pytest.raises(ValueError, match=f"cp_len must be in 0..fft_size 256, got {cp_len}"):
             OfdmParams(cp_len=cp_len)
+
+
+class TestRejectedValues:
+    """Each check of the identity, numerology, SSB and capture types raises
+    with its own message."""
+
+    @pytest.mark.parametrize("make, message", [
+        pytest.param(lambda: CellId.from_cell(1008), "cell must be in 0..1007, got 1008",
+                     id="cell-1008"),
+        pytest.param(lambda: OfdmParams(mu=-1), "mu must be >= 0, got -1", id="mu-negative"),
+        pytest.param(lambda: OfdmParams(fft_size=384),
+                     "fft_size must be a power of two, got 384", id="fft-384"),
+        pytest.param(lambda: SsbConfig(CellId(0, 0), l_max=6), "l_max must be 4 or 8, got 6",
+                     id="l-max-6"),
+        pytest.param(lambda: SsbConfig(CellId(0, 0), i_ssb_bar=4, l_max=4),
+                     "i_ssb_bar must be in 0..3, got 4", id="i-ssb-past-l-max"),
+        pytest.param(lambda: SsbConfig(CellId(0, 0), burst_count=-1),
+                     "burst_count must be >= 0, got -1", id="burst-count-negative"),
+        pytest.param(lambda: SsbConfig(CellId(0, 0), burst_period=-1),
+                     "burst_period must be >= 0, got -1", id="burst-period-negative"),
+        pytest.param(lambda: SsbConfig(CellId(0, 0), re_power=float("nan")),
+                     "re_power must be > 0, got nan", id="re-power-nan"),
+        pytest.param(lambda: IqCapture(np.zeros((2, 3)), 1e6),
+                     "samples must be 1-D, got shape (2, 3)", id="2d-samples"),
+    ])
+    def test_rejected(self, make, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make()
 
 
 @pytest.fixture

@@ -152,6 +152,15 @@ class TestOfdm:
         with pytest.raises(ValueError):
             ofdm_demodulate(capture, params, n_symbols=3)
 
+    @pytest.mark.parametrize("symbol_start, n_symbols, message", [
+        (-1, 1, "symbol_start must be >= 0, got -1"),
+        (0, 0, "capture holds 2 full symbols from sample 0, requested 0"),
+    ])
+    def test_demodulation_span_rejected(self, params, symbol_start, n_symbols, message):
+        capture = IqCapture(np.zeros(params.symbol_len * 2), params.sample_rate)
+        with pytest.raises(ValueError, match=message):
+            ofdm_demodulate(capture, params, symbol_start, n_symbols)
+
 
 @st.composite
 def numerologies(draw):
