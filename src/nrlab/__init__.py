@@ -28,8 +28,8 @@ _EXPORTS = {
         "enumerate_ssb_bursts", "identify_ssb_index",
     ),
     "exposure": (
-        "ExposureReport", "UncertaintyBudget", "check_targets", "code_selective_power",
-        "combine_uncertainty", "extrapolate_exposure", "measure_exposure",
+        "ExposureReport", "TargetCheck", "UncertaintyBudget", "UncertaintyComponent",
+        "code_selective_power", "measure_exposure",
     ),
     "otasim": (
         "FadingRealization", "RcChannelModel", "TransferMatrix", "apply_channel", "awgn",

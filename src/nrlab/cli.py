@@ -218,8 +218,6 @@ def cmd_detect(cfg: dict) -> int:
 
 
 def cmd_exposure(cfg: dict) -> int:
-    import numpy as np
-
     from .exposure import measure_exposure
     from .io import read_capture, read_detection_report, write_report
     from .types import OfdmParams
@@ -236,17 +234,7 @@ def cmd_exposure(cfg: dict) -> int:
         capture, detection, params, n_re_total=cfg["rb_count"] * 12, duty=cfg["duty"],
         mode=cfg["mode"], coverage_factor=cfg["coverage_k"],
     )
-    payload = asdict(report)
-    payload["uncertainty"]["components"] = [
-        {"name": n, "std_db": u, "distribution": d, "placeholder": True}
-        for n, u, d in report.uncertainty.components
-    ]
-    payload["per_signal_re_power_db"] = {
-        k: 10.0 * np.log10(v) if v > 0 else -np.inf
-        for k, v in report.per_signal_re_power.items()
-    }
-    payload["config"] = cfg
-    write_report(cfg["out"], payload)
+    write_report(cfg["out"], {**asdict(report), "config": cfg})
     LOG.info("exposure report written to %s", cfg["out"])
     return EXIT_OK
 
@@ -263,8 +251,9 @@ def cmd_sound(cfg: dict) -> int:
         sweep_to_cir,
     )
 
-    # Both locations are checked before any input is read, and both outputs
-    # built before either file is written, so a run that fails leaves no file.
+    # Both locations and the angle grid are checked before any input is read,
+    # and both outputs built before either file is written, so a run that
+    # fails leaves no file.
     cfg["out"] = cfg["out"] or cfg["input"][0] + ".pdp.csv"
     _check_writable(cfg["out"])
     if cfg["aoa"]:
@@ -272,6 +261,13 @@ def cmd_sound(cfg: dict) -> int:
             raise ValueError("--geometry is required with --aoa")
         cfg["aoa_out"] = cfg["aoa_out"] or cfg["input"][0] + ".aoa.csv"
         _check_writable(cfg["aoa_out"])
+        step = cfg["angle_step"]
+        if not (step > 0 and np.isfinite([cfg["angle_start"], cfg["angle_stop"], step]).all()):
+            raise ValueError(
+                f"angle grid needs a finite start and stop and a finite step > 0, got "
+                f"{cfg['angle_start']}:{cfg['angle_stop']}:{step}"
+            )
+        angles = np.arange(cfg["angle_start"], cfg["angle_stop"] + step / 2.0, step)
 
     sweeps = []
     for path in cfg["input"]:
@@ -284,13 +280,6 @@ def cmd_sound(cfg: dict) -> int:
     if cfg["aoa"]:
         elements, pattern = read_geometry(cfg["geometry"])
         scan = VirtualArrayScan(elements, sweeps, pattern, compensate_pattern=cfg["deembed"])
-        step = cfg["angle_step"]
-        if not (step > 0 and np.isfinite([cfg["angle_start"], cfg["angle_stop"], step]).all()):
-            raise ValueError(
-                f"angle grid needs a finite start and stop and a finite step > 0, got "
-                f"{cfg['angle_start']}:{cfg['angle_stop']}:{step}"
-            )
-        angles = np.arange(cfg["angle_start"], cfg["angle_stop"] + step / 2.0, step)
         profile = aoa_delay_profile(scan, angles, window=cfg["window"], pad_factor=cfg["pad"])
 
     write_pdp_csv(cfg["out"], pdp)

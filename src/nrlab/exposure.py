@@ -15,11 +15,23 @@ SIGNAL_CLASSES = ("pss", "sss", "dmrs", "pbch")
 CONDUCTED_TARGET_DB = 0.05
 OTA_TARGET_DB = 0.5
 
-# Placeholder magnitudes, echoed as such in emitted reports.
+
+@dataclass(frozen=True)
+class UncertaintyComponent:
+    """One standard uncertainty of the budget, in dB, with its distribution tag;
+    `placeholder` marks a magnitude that was not measured in the run."""
+
+    name: str
+    std_db: float
+    distribution: str
+    placeholder: bool
+
+
+# Placeholder magnitudes, flagged as such in every report.
 DEFAULT_UNCERTAINTY_COMPONENTS = (
-    ("correlation-loss", 0.02, "normal"),
-    ("quantization", 0.01, "rectangular"),
-    ("noise", 0.01, "normal"),
+    UncertaintyComponent("correlation-loss", 0.02, "normal", placeholder=True),
+    UncertaintyComponent("quantization", 0.01, "rectangular", placeholder=True),
+    UncertaintyComponent("noise", 0.01, "normal", placeholder=True),
 )
 
 
@@ -27,7 +39,7 @@ DEFAULT_UNCERTAINTY_COMPONENTS = (
 class UncertaintyBudget:
     """Root-sum-square combined uncertainty with a coverage factor."""
 
-    components: tuple[tuple[str, float, str], ...]
+    components: tuple[UncertaintyComponent, ...]
     coverage_factor: float
     expanded_db: float
 
@@ -42,9 +54,11 @@ class TargetCheck:
 
 @dataclass
 class ExposureReport:
-    """Per-class RE powers plus the extrapolated maximum and its uncertainty."""
+    """Per-class RE powers, linear and in dB, plus the extrapolated maximum and
+    its uncertainty."""
 
     per_signal_re_power: dict[str, float]
+    per_signal_re_power_db: dict[str, float]
     extrapolated_power: float
     extrapolated_power_db: float
     n_re_total: int
@@ -112,63 +126,6 @@ def code_selective_power(
     return powers
 
 
-def extrapolate_exposure(
-    re_power: float, n_re_total: int, duty: float
-) -> tuple[float, float]:
-    """Extrapolate a per-RE power to the fully loaded maximum.
-
-    Returns:
-        (linear power, the same in dB relative to the per-RE reference).
-    """
-    if n_re_total < 1:
-        raise ValueError(f"n_re_total must be >= 1, got {n_re_total}")
-    if not 0 < duty <= 1:
-        raise ValueError(f"duty must be in (0, 1], got {duty}")
-    if re_power < 0:
-        raise ValueError(f"re_power must be >= 0, got {re_power}")
-    linear = re_power * n_re_total * duty
-    db = 10.0 * math.log10(linear) if linear > 0 else -math.inf
-    return linear, db
-
-
-def combine_uncertainty(
-    components, coverage_factor: float = 2.0
-) -> UncertaintyBudget:
-    """Root-sum-square the standard uncertainties and expand by the coverage factor.
-
-    Args:
-        components: iterable of (name, standard uncertainty in dB,
-            distribution tag) triples.
-        coverage_factor: k of the expanded uncertainty; finite and > 0.
-    """
-    if not (math.isfinite(coverage_factor) and coverage_factor > 0):
-        raise ValueError(f"coverage factor must be finite and > 0, got {coverage_factor}")
-    normalized = tuple((name, float(u_db), tag) for name, u_db, tag in components)
-    for name, u_db, _ in normalized:
-        if u_db < 0:
-            raise ValueError(f"uncertainty component {name!r} is negative: {u_db}")
-    expanded = coverage_factor * math.sqrt(sum(u * u for _, u, _ in normalized))
-    return UncertaintyBudget(
-        components=normalized,
-        coverage_factor=coverage_factor,
-        expanded_db=expanded,
-    )
-
-
-def check_targets(budget: UncertaintyBudget, mode: str) -> TargetCheck:
-    """Compare an expanded uncertainty against the conducted / OTA target."""
-    targets = {"conducted": CONDUCTED_TARGET_DB, "ota": OTA_TARGET_DB}
-    if mode not in targets:
-        raise ValueError(f"mode must be one of {sorted(targets)}, got {mode!r}")
-    target = targets[mode]
-    return TargetCheck(
-        passed=budget.expanded_db <= target,
-        mode=mode,
-        target_db=target,
-        margin_db=target - budget.expanded_db,
-    )
-
-
 def measure_exposure(
     capture: IqCapture,
     detection: DetectionResult,
@@ -182,16 +139,27 @@ def measure_exposure(
 
     Each detected burst is demodulated at the detection's CFO and despread
     per signal class; each class power is the mean over the bursts. The SSS
-    power is extrapolated to the fully loaded maximum, and the placeholder
-    budget is checked against the target of the mode.
+    power is extrapolated to the fully loaded maximum, P = P_RE * n_re_total
+    * duty, and the placeholder budget, the root-sum-square of its components
+    times the coverage factor, is checked against the target of the mode.
 
     Raises:
-        ValueError: the detection holds no bursts, or a burst, the
-            extrapolation or the mode is invalid.
+        ValueError: an argument is out of range, checked before any burst is
+            demodulated, or the detection holds no bursts or no cell identity.
     """
+    if n_re_total < 1:
+        raise ValueError(f"n_re_total must be >= 1, got {n_re_total}")
+    if not 0 < duty <= 1:
+        raise ValueError(f"duty must be in (0, 1], got {duty}")
+    targets = {"conducted": CONDUCTED_TARGET_DB, "ota": OTA_TARGET_DB}
+    if mode not in targets:
+        raise ValueError(f"mode must be one of {sorted(targets)}, got {mode!r}")
+    target = targets[mode]
+    if not (math.isfinite(coverage_factor) and coverage_factor > 0):
+        raise ValueError(f"coverage factor must be finite and > 0, got {coverage_factor}")
     if not detection.bursts:
         raise ValueError("detection contains no bursts")
-    budget = combine_uncertainty(DEFAULT_UNCERTAINTY_COMPONENTS, coverage_factor)
+
     per_burst = [
         code_selective_power(
             demodulate_burst(capture, burst.timing, detection.cfo, params), detection, index
@@ -199,13 +167,19 @@ def measure_exposure(
         for index, burst in enumerate(detection.bursts)
     ]
     powers = {name: float(np.mean([p[name] for p in per_burst])) for name in SIGNAL_CLASSES}
-    linear, db = extrapolate_exposure(powers["sss"], n_re_total, duty)
+    linear = powers["sss"] * n_re_total * duty
+    expanded = coverage_factor * math.sqrt(
+        sum(c.std_db * c.std_db for c in DEFAULT_UNCERTAINTY_COMPONENTS)
+    )
     return ExposureReport(
         per_signal_re_power=powers,
+        per_signal_re_power_db={
+            name: 10.0 * np.log10(p) if p > 0 else -np.inf for name, p in powers.items()
+        },
         extrapolated_power=linear,
-        extrapolated_power_db=db,
+        extrapolated_power_db=10.0 * math.log10(linear) if linear > 0 else -math.inf,
         n_re_total=n_re_total,
         duty=duty,
-        uncertainty=budget,
-        target_check=check_targets(budget, mode),
+        uncertainty=UncertaintyBudget(DEFAULT_UNCERTAINTY_COMPONENTS, coverage_factor, expanded),
+        target_check=TargetCheck(expanded <= target, mode, target, target - expanded),
     )

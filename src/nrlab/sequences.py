@@ -128,7 +128,7 @@ def gen_gold(c_init: int, offset: int, length: int) -> np.ndarray:
     return x1[start:stop] ^ (parity & 1).astype(np.uint8)
 
 
-def qpsk_from_bits(bits: np.ndarray) -> np.ndarray:
+def _qpsk_from_bits(bits: np.ndarray) -> np.ndarray:
     """Map a bit sequence to unit-power QPSK symbols, two bits per symbol."""
     b = np.asarray(bits, dtype=np.float64)
     if b.size % 2:
@@ -136,7 +136,7 @@ def qpsk_from_bits(bits: np.ndarray) -> np.ndarray:
     return ((1.0 - 2.0 * b[0::2]) + 1j * (1.0 - 2.0 * b[1::2])) / np.sqrt(2.0)
 
 
-def dmrs_c_init(cell: int, i_ssb_bar: int) -> int:
+def _dmrs_c_init(cell: int, i_ssb_bar: int) -> int:
     """Gold initializer for the PBCH DM-RS of a cell and SSB index."""
     return (2**11 * (i_ssb_bar + 1) * (cell // 4 + 1)
             + 2**6 * (i_ssb_bar + 1)
@@ -152,5 +152,5 @@ def gen_pbch_dmrs(cell_id: CellId, i_ssb_bar: int) -> np.ndarray:
     """
     if not 0 <= i_ssb_bar < 8:
         raise ValueError(f"i_ssb_bar must be in 0..7, got {i_ssb_bar}")
-    bits = gen_gold(dmrs_c_init(cell_id.cell, i_ssb_bar), 0, 288)
-    return qpsk_from_bits(bits)
+    bits = gen_gold(_dmrs_c_init(cell_id.cell, i_ssb_bar), 0, 288)
+    return _qpsk_from_bits(bits)

@@ -10,7 +10,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .sequences import gen_gold, gen_pbch_dmrs, gen_pss, gen_sss, qpsk_from_bits
+from .sequences import _qpsk_from_bits, gen_gold, gen_pbch_dmrs, gen_pss, gen_sss
 from .types import (
     N_SSB_SUBCARRIERS,
     N_SSB_SYMBOLS,
@@ -75,7 +75,7 @@ def map_ssb(cfg: SsbConfig) -> np.ndarray:
     data[layout["pss"]] = gen_pss(cfg.cell_id.n2)
     data[layout["sss"]] = gen_sss(cfg.cell_id.n1, cfg.cell_id.n2)
     data[layout["dmrs"]] = gen_pbch_dmrs(cfg.cell_id, cfg.i_ssb_bar)
-    data[layout["pbch"]] = qpsk_from_bits(
+    data[layout["pbch"]] = _qpsk_from_bits(
         gen_gold(cfg.cell_id.cell, 0, PBCH_PLACEHOLDER_BITS)
     )
     data *= np.sqrt(cfg.re_power)

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import inspect
 import json
 import os
 import subprocess
@@ -455,13 +456,14 @@ INPUT_READERS_AND_LAYERS = (
 
 
 class TestOutputChecks:
-    """Every output location is checked, and --geometry required with --aoa,
-    before any input is read or any layer runs."""
+    """Every output location is checked, --geometry required with --aoa, and
+    the angle grid checked, before any input is read or any layer runs."""
 
     # "exposure-no-bursts" exited 2 ("nothing to measure") when the location
     # was checked last
     @pytest.mark.parametrize("case", ["detect", "exposure", "exposure-no-bursts", "sound",
-                                      "sound-aoa", "sound-aoa-without-geometry"])
+                                      "sound-aoa", "sound-aoa-without-geometry",
+                                      "sound-aoa-bad-grid"])
     def test_fails_before_any_input_is_read(self, tmp_path, capsys, cell3_capture, case):
         burst = SsbBurst(timing=1000, i_ssb_bar=0, pss_metric=1.0, sss_metric=1.0,
                          dmrs_metric=1.0)
@@ -485,13 +487,17 @@ class TestOutputChecks:
                           "--out", pdp, "--aoa-out", missing / "aoa.csv"],
             "sound-aoa-without-geometry": ["sound", "--in", *sweeps, "--aoa",
                                            "--out", pdp, "--aoa-out", aoa],
+            "sound-aoa-bad-grid": ["sound", "--in", *sweeps, "--aoa", "--geometry", geo,
+                                   "--angle-step", 0, "--out", pdp, "--aoa-out", aoa],
         }[case]
         with contextlib.ExitStack() as stack:
             spies = [stack.enter_context(mock.patch(target, side_effect=AssertionError(target)))
                      for target in INPUT_READERS_AND_LAYERS]
             assert run(*argv) == EXIT_ERROR
-        message = ("--geometry is required with --aoa" if case.endswith("without-geometry")
-                   else "output directory does not exist")
+        message = {
+            "sound-aoa-without-geometry": "--geometry is required with --aoa",
+            "sound-aoa-bad-grid": "angle grid needs a finite start and stop and a finite step > 0",
+        }.get(case, "output directory does not exist")
         assert message in capsys.readouterr().err
         assert not any(spy.called for spy in spies)
         assert not pdp.exists() and not aoa.exists()
@@ -744,6 +750,17 @@ class TestImports:
         assert set(nrlab.__all__) <= set(namespace)
         with pytest.raises(AttributeError):
             nrlab.no_such_name
+
+    def test_every_public_definition_is_exported(self):
+        # a public class or function of a layer module that nrlab._EXPORTS
+        # leaves out is public surface no table lists
+        for module, names in nrlab._EXPORTS.items():
+            layer = getattr(nrlab, module)
+            defined = {name for name, value in vars(layer).items()
+                       if not name.startswith("_")
+                       and (inspect.isclass(value) or inspect.isfunction(value))
+                       and value.__module__ == layer.__name__}
+            assert defined == set(names), module
 
     def test_detection_and_pdp_load_no_numpy_ma(self):
         # np.median's NaN check imports numpy.ma, 8-10 ms of a fresh process

@@ -1,5 +1,6 @@
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,18 +11,35 @@ from nrlab import (
     CellId,
     IqCapture,
     SsbConfig,
-    check_targets,
+    TargetCheck,
+    UncertaintyComponent,
     code_selective_power,
-    combine_uncertainty,
     demodulate_burst,
     enumerate_ssb_bursts,
-    extrapolate_exposure,
     map_ssb,
     measure_exposure,
 )
+from nrlab import exposure
 from nrlab.detector import DetectionResult, SsbBurst
 from nrlab.exposure import DEFAULT_UNCERTAINTY_COMPONENTS, SIGNAL_CLASSES
 from exposure_reference import reference_code_selective_power
+
+
+@pytest.fixture(scope="module")
+def one_burst(burst_capture, params):
+    """measure_exposure(**kwargs) on one noiseless cell-3 burst, whose despread
+    per-RE SSS power is exactly 1.0; arguments not given are n_re_total=1200,
+    duty=1.0, mode="conducted"."""
+    capture = burst_capture()
+    detection = enumerate_ssb_bursts(capture, params)
+    assert len(detection.bursts) == 1
+
+    def measure(**kwargs):
+        kwargs = {"n_re_total": 1200, "duty": 1.0, "mode": "conducted", **kwargs}
+        return measure_exposure(capture, detection, params, **kwargs)
+
+    assert measure().per_signal_re_power["sss"] == 1.0
+    return measure
 
 
 def detection_for(cell: int, i_ssb_bar: int = 0) -> DetectionResult:
@@ -133,100 +151,110 @@ class TestDespreadTable:
 
 
 class TestExtrapolate:
-    def test_identity(self):
-        assert extrapolate_exposure(2.5, 1, 1.0) == (2.5, pytest.approx(10 * math.log10(2.5)))
+    """The SSS per-RE power times n_re_total times duty, in linear and dB."""
 
-    def test_doubling_re_count(self):
-        _, db1 = extrapolate_exposure(1.0, 600, 1.0)
-        _, db2 = extrapolate_exposure(1.0, 1200, 1.0)
+    def test_identity(self, one_burst):
+        report = one_burst(n_re_total=1, duty=1.0)
+        assert (report.extrapolated_power, report.extrapolated_power_db) == (1.0, 0.0)
+
+    def test_doubling_re_count(self, one_burst):
+        db1 = one_burst(n_re_total=600).extrapolated_power_db
+        db2 = one_burst(n_re_total=1200).extrapolated_power_db
         assert abs((db2 - db1) - 3.01) <= 0.005
 
-    def test_worked_example(self):
-        linear, db = extrapolate_exposure(1.0, 1200, 0.75)
-        assert linear == 900.0
-        assert round(db, 2) == 29.54
+    def test_worked_example(self, one_burst):
+        report = one_burst(n_re_total=1200, duty=0.75)
+        assert report.extrapolated_power == 900.0
+        assert round(report.extrapolated_power_db, 2) == 29.54
 
-    @given(
-        re_power=st.floats(1e-6, 1e3),
-        n_re=st.integers(1, 10**6),
-        duty=st.floats(1e-6, 1.0),
-    )
+    @given(n_re=st.integers(1, 10**6), duty=st.floats(1e-6, 1.0))
     @settings(max_examples=40, deadline=None)
-    def test_monotone(self, re_power, n_re, duty):
-        base, _ = extrapolate_exposure(re_power, n_re, duty)
-        up_p, _ = extrapolate_exposure(re_power * 2, n_re, duty)
-        up_n, _ = extrapolate_exposure(re_power, n_re + 1, duty)
-        assert up_p >= base and up_n >= base
-        if duty / 2 > 0:
-            down_d, _ = extrapolate_exposure(re_power, n_re, duty / 2)
-            assert down_d <= base
+    def test_monotone(self, one_burst, n_re, duty):
+        base = one_burst(n_re_total=n_re, duty=duty).extrapolated_power
+        assert one_burst(n_re_total=n_re + 1, duty=duty).extrapolated_power >= base
+        assert one_burst(n_re_total=n_re, duty=duty / 2).extrapolated_power <= base
 
     @pytest.mark.parametrize("duty", [0.0, -0.1, 1.5])
-    def test_duty_range(self, duty):
-        with pytest.raises(ValueError):
-            extrapolate_exposure(1.0, 10, duty)
+    def test_duty_range(self, one_burst, duty):
+        with pytest.raises(ValueError, match=re.escape(f"duty must be in (0, 1], got {duty}")):
+            one_burst(duty=duty)
 
-    def test_n_re_range(self):
-        with pytest.raises(ValueError):
-            extrapolate_exposure(1.0, 0, 0.5)
+    def test_n_re_range(self, one_burst):
+        with pytest.raises(ValueError, match="n_re_total must be >= 1, got 0"):
+            one_burst(n_re_total=0, duty=0.5)
 
 
 class TestUncertainty:
-    def test_single_component(self):
-        budget = combine_uncertainty([("a", 0.1, "normal")], coverage_factor=2.0)
+    """The expanded uncertainty is the coverage factor times the root-sum-square
+    of the module's components, each flagged as a placeholder."""
+
+    def test_single_component(self, one_burst, monkeypatch):
+        component = UncertaintyComponent("a", 0.1, "normal", placeholder=True)
+        monkeypatch.setattr(exposure, "DEFAULT_UNCERTAINTY_COMPONENTS", (component,))
+        budget = one_burst(coverage_factor=2.0).uncertainty
+        assert budget.components == (component,)
         assert budget.expanded_db == pytest.approx(0.2)
 
-    def test_pythagorean(self):
-        budget = combine_uncertainty([("a", 3.0, "normal"), ("b", 4.0, "rectangular")],
-                                     coverage_factor=1.0)
-        assert budget.expanded_db == pytest.approx(5.0)
+    def test_pythagorean(self, one_burst, monkeypatch):
+        monkeypatch.setattr(exposure, "DEFAULT_UNCERTAINTY_COMPONENTS", (
+            UncertaintyComponent("a", 3.0, "normal", placeholder=True),
+            UncertaintyComponent("b", 4.0, "rectangular", placeholder=True),
+        ))
+        assert one_burst(coverage_factor=1.0).uncertainty.expanded_db == 5.0
 
-    def test_empty(self):
-        assert combine_uncertainty([]).expanded_db == 0.0
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            combine_uncertainty([("bad", -0.1, "normal")])
+    def test_empty(self, one_burst, monkeypatch):
+        monkeypatch.setattr(exposure, "DEFAULT_UNCERTAINTY_COMPONENTS", ())
+        assert one_burst().uncertainty.expanded_db == 0.0
 
     @pytest.mark.parametrize("k", [0.0, -1.0, float("nan"), float("inf"), -float("inf")])
-    def test_bad_coverage_factor_rejected(self, k):
+    def test_bad_coverage_factor_rejected(self, one_burst, k):
         with pytest.raises(ValueError, match="coverage factor must be finite and > 0"):
-            combine_uncertainty([("a", 0.02, "normal")], coverage_factor=k)
+            one_burst(coverage_factor=k)
 
-    @given(
-        us=st.lists(st.floats(0, 2.0), min_size=1, max_size=6),
-        c=st.floats(0.1, 10.0),
-    )
+    @given(k=st.floats(0.1, 10.0))
     @settings(max_examples=40, deadline=None)
-    def test_permutation_invariant_and_scale_covariant(self, us, c):
-        comps = [(f"u{i}", u, "normal") for i, u in enumerate(us)]
-        forward = combine_uncertainty(comps).expanded_db
-        backward = combine_uncertainty(list(reversed(comps))).expanded_db
-        assert forward == pytest.approx(backward, rel=1e-12)
-        scaled = combine_uncertainty([(n, u * c, d) for n, u, d in comps]).expanded_db
-        assert scaled == pytest.approx(forward * c, rel=1e-9)
+    def test_linear_in_coverage_factor(self, one_burst, k):
+        unit = one_burst(coverage_factor=1.0).uncertainty.expanded_db
+        budget = one_burst(coverage_factor=k).uncertainty
+        assert budget.coverage_factor == k
+        assert budget.expanded_db == pytest.approx(k * unit, rel=1e-15)
 
 
 class TestTargets:
-    def test_conducted_pass_with_margin(self):
-        budget = combine_uncertainty([("a", 0.02, "normal")], coverage_factor=2.0)
-        check = check_targets(budget, "conducted")
+    def test_conducted_pass_with_margin(self, one_burst):
+        report = one_burst(mode="conducted", coverage_factor=2.0)
+        check = report.target_check
         assert check.passed
-        assert check.margin_db == pytest.approx(0.01)
+        assert check.margin_db == 0.05 - report.uncertainty.expanded_db
+        assert check.margin_db == pytest.approx(0.05 - 2.0 * math.sqrt(6e-4))
 
-    def test_ota_boundary_passes(self):
-        budget = combine_uncertainty([("a", 0.25, "normal")], coverage_factor=2.0)
-        check = check_targets(budget, "ota")
-        assert check.passed
-        assert check.margin_db == pytest.approx(0.0, abs=1e-12)
+    def test_ota_boundary_passes(self, one_burst):
+        # the coverage factor at which the expanded uncertainty is exactly the
+        # 0.5 dB OTA target: the target itself passes, one ulp more fails
+        rss = math.sqrt(sum(c.std_db * c.std_db for c in DEFAULT_UNCERTAINTY_COMPONENTS))
+        k = 0.5 / rss
+        for _ in range(64):
+            if k * rss == 0.5:
+                break
+            k = math.nextafter(k, math.inf if k * rss < 0.5 else -math.inf)
+        report = one_burst(mode="ota", coverage_factor=k)
+        assert report.uncertainty.expanded_db == 0.5
+        assert report.target_check == TargetCheck(passed=True, mode="ota", target_db=0.5,
+                                                  margin_db=0.0)
+        over = one_burst(mode="ota", coverage_factor=math.nextafter(k, math.inf))
+        assert over.uncertainty.expanded_db > 0.5
+        assert not over.target_check.passed
 
-    def test_conducted_fail(self):
-        budget = combine_uncertainty([("a", 0.03, "normal")], coverage_factor=2.0)
-        assert not check_targets(budget, "conducted").passed
+    def test_conducted_fail(self, one_burst):
+        report = one_burst(mode="conducted", coverage_factor=3.0)
+        assert report.uncertainty.expanded_db > 0.05
+        assert not report.target_check.passed
+        assert report.target_check.margin_db < 0
 
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            check_targets(combine_uncertainty([]), "radiated")
+    def test_unknown_mode(self, one_burst):
+        with pytest.raises(ValueError, match=re.escape("mode must be one of ['conducted', 'ota'], "
+                                                       "got 'radiated'")):
+            one_burst(mode="radiated")
 
 
 class TestReport:
@@ -257,11 +285,23 @@ class TestReport:
         report = measure_exposure(capture, detection, params, n_re_total=600, duty=0.25,
                                   mode="conducted", coverage_factor=3.0)
         assert report.per_signal_re_power == want
-        assert (report.extrapolated_power, report.extrapolated_power_db) == (
-            extrapolate_exposure(want["sss"], 600, 0.25))
+        assert report.per_signal_re_power_db == {k: 10.0 * np.log10(v) for k, v in want.items()}
+        linear = want["sss"] * 600 * 0.25
+        assert report.extrapolated_power == linear
+        assert report.extrapolated_power_db == 10.0 * math.log10(linear)
         assert (report.n_re_total, report.duty) == (600, 0.25)
-        assert report.uncertainty == combine_uncertainty(DEFAULT_UNCERTAINTY_COMPONENTS, 3.0)
-        assert report.target_check == check_targets(report.uncertainty, "conducted")
+        assert report.uncertainty.components is DEFAULT_UNCERTAINTY_COMPONENTS
+        assert [(c.name, c.std_db, c.distribution, c.placeholder)
+                for c in report.uncertainty.components] == [
+            ("correlation-loss", 0.02, "normal", True),
+            ("quantization", 0.01, "rectangular", True),
+            ("noise", 0.01, "normal", True),
+        ]
+        expanded = 3.0 * math.sqrt(0.02 * 0.02 + 0.01 * 0.01 + 0.01 * 0.01)
+        assert report.uncertainty.coverage_factor == 3.0
+        assert report.uncertainty.expanded_db == expanded
+        assert report.target_check == TargetCheck(passed=False, mode="conducted",
+                                                  target_db=0.05, margin_db=0.05 - expanded)
 
     def test_empty_detection_rejected(self, burst_capture, params):
         empty = DetectionResult(cell_id=CellId.from_cell(3), bursts=[])
@@ -271,17 +311,28 @@ class TestReport:
 
 
 class TestRejectedInputs:
-    """A burst without a cell identity and a negative per-RE power are
-    rejected with their own messages."""
+    """A burst without a cell identity is rejected with its own message, and an
+    argument out of range before any burst is demodulated."""
 
     @pytest.mark.parametrize("call, message", [
         pytest.param(lambda capture, params: measure_exposure(
             capture, DetectionResult(cell_id=None, bursts=[SsbBurst(300, 0, 1.0, 1.0, 1.0)]),
             params, n_re_total=1200, duty=1.0, mode="conducted",
         ), "detection carries no cell identity", id="bursts-without-cell"),
-        pytest.param(lambda capture, params: extrapolate_exposure(-1e-3, 1200, 1.0),
-                     "re_power must be >= 0, got -0.001", id="negative-re-power"),
     ])
     def test_rejected(self, burst_capture, params, call, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             call(burst_capture(), params)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"duty": 0}, "duty must be in (0, 1], got 0"),
+        ({"n_re_total": 0}, "n_re_total must be >= 1, got 0"),
+        ({"mode": "radiated"}, "mode must be one of ['conducted', 'ota'], got 'radiated'"),
+        ({"coverage_factor": math.nan}, "coverage factor must be finite and > 0, got nan"),
+    ], ids=["duty-0", "n_re_total-0", "mode-radiated", "coverage-factor-nan"])
+    def test_checked_before_any_burst_is_demodulated(self, one_burst, kwargs, message):
+        with mock.patch("nrlab.exposure.demodulate_burst",
+                        side_effect=AssertionError("demodulated")) as spy:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                one_burst(**kwargs)
+        assert not spy.called

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 from nrlab import gen_gold, gen_pbch_dmrs, gen_pss, gen_sss
-from nrlab.sequences import dmrs_c_init, qpsk_from_bits
+from nrlab.sequences import _dmrs_c_init, _qpsk_from_bits
 from nrlab.types import CellId
 
 from reference_sequences import ref_dmrs, ref_gold, ref_pss, ref_sss
@@ -17,7 +17,7 @@ PSS0_FIRST_16 = [1, -1, -1, 1, -1, -1, -1, -1, 1, 1, -1, -1, -1, 1, 1, -1]
 SSS_1_0_FIRST_12 = [-1, 1, 1, 1, 1, 1, -1, -1, 1, 1, -1, 1]
 GOLD_CINIT0_FIRST_16 = [0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 1, 0, 1, 0]
 # SHA-256 of the PBCH placeholder bits gen_gold(c, 0, 864) for c in 0..1007,
-# then the DM-RS bits gen_gold(dmrs_c_init(cell, i), 0, 288) for every cell and
+# then the DM-RS bits gen_gold(_dmrs_c_init(cell, i), 0, 288) for every cell and
 # i in 0..7, as raw uint8 bytes; frozen from the register-stepping generator
 GOLD_NR_DIGEST = "12f3794516c9cc56b0319fe174cecdf1caa49bf9e71d7f3ee9bedceb49a354bc"
 
@@ -133,7 +133,7 @@ class TestGold:
             digest.update(gen_gold(c_init, 0, 864).tobytes())
         for cell in range(1008):
             for i in range(8):
-                digest.update(gen_gold(dmrs_c_init(cell, i), 0, 288).tobytes())
+                digest.update(gen_gold(_dmrs_c_init(cell, i), 0, 288).tobytes())
         assert digest.hexdigest() == GOLD_NR_DIGEST
 
     def test_returns_a_fresh_array(self):
@@ -145,7 +145,7 @@ class TestGold:
 
     def test_dmrs_c_init_for_cell3(self):
         # 2^11*(0+1)*(3//4+1) + 2^6*(0+1) + 3 mod 4 = 2048 + 64 + 3
-        assert dmrs_c_init(3, 0) == 2115
+        assert _dmrs_c_init(3, 0) == 2115
 
     @pytest.mark.parametrize("c_init,offset,length", [(-1, 0, 1), (2**31, 0, 1), (0, -1, 1), (0, 0, -1)])
     def test_range_check(self, c_init, offset, length):
@@ -183,4 +183,4 @@ class TestPbchDmrs:
 
 def test_qpsk_requires_even_bits():
     with pytest.raises(ValueError):
-        qpsk_from_bits(np.array([0, 1, 0]))
+        _qpsk_from_bits(np.array([0, 1, 0]))
